@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import GeneratorSet, ku_flag, type_r_witness_search
+from .dynamics import GeneratorSet, ku_flag
 from .errors import InputError, InternalInvariantViolation, NotASubgroup, NotTypeR, \
     UnsupportedCharacteristic
 from .linalg import QMatrix
@@ -200,20 +200,15 @@ def _compact_verdict(spec, k, order, spot_checks, rng):
 def _finitely_generated_verdict(spec, k):
     if spec.ctx is None or spec.gens is None:
         raise InputError("finitely generated analysis needs generators")
-    witness = type_r_witness_search(spec.gens)
-    if witness is not None:
-        return _verdict(k, NOT_DENSE, [
-            ("eigenvalue-witness",
-             f"word {witness.word_str()} has an eigenvalue of absolute value != 1, "
-             "which dense power images forbid"),
-        ], {"witness_word": witness.word_str()})
     try:
-        flag = ku_flag(spec.gens)
+        flag = ku_flag(spec.gens)  # runs the type-R word search first
     except NotTypeR as exc:
+        word = exc.witness.word_str()
         return _verdict(k, NOT_DENSE, [
             ("eigenvalue-witness",
-             f"word {exc.witness.word_str()} has an eigenvalue of absolute value != 1"),
-        ], {"witness_word": exc.witness.word_str()})
+             f"word {word} has an eigenvalue of absolute value != 1, "
+             "which dense power images forbid"),
+        ], {"witness_word": word})
     steps = [("sampler-necessary-only",
               "all short words are type R; this is a necessary condition, not a proof")]
     cert = {}
@@ -231,14 +226,10 @@ def _unipotent_spot_roots(spec, k, count, rng):
     if not count:
         return {}
     n = spec.n if spec.variant == UPPER_UNIPOTENT_QP else 2
-    witnesses = []
     for _ in range(count):
-        u = _random_unipotent(n, rng)
-        res = unipotent_root(u, k)
-        if res.status != FOUND:
+        if unipotent_root(_random_unipotent(n, rng), k).status != FOUND:
             raise InternalInvariantViolation("verdict promised a unipotent root")
-        witnesses.append(res.root)
-    return {"spot_roots": len(witnesses)}
+    return {"spot_roots": count}
 
 
 def _random_unipotent(n, rng):
@@ -367,10 +358,19 @@ def analyze_subgroup(parent: GroupSpec, sub: GroupSpec, k: int) -> SubgroupVerdi
     return SubgroupVerdict(parent_verdict, independent, "independent", note)
 
 
+_ALIASES = {"AxB": AXB_ZP_UNITS, "Zp": ADDITIVE_ZP, "Qp": ADDITIVE_QP}
+
+
+def is_catalog_name(text: str) -> bool:
+    """True when text names a catalog group, valid dimension or not."""
+    name = text.strip().split("(", 1)[0]
+    name = _ALIASES.get(name, name)
+    return name in _CATALOG and name != FINITELY_GENERATED
+
+
 def parse_group(text: str, ctx: PContext, gens=None) -> GroupSpec:
     """Parse CLI group syntax: "GL_Zp(2)", "UnitsZp", "AxB", "AdditiveQp(3)"..."""
     text = text.strip()
-    aliases = {"AxB": AXB_ZP_UNITS, "Zp": ADDITIVE_ZP, "Qp": ADDITIVE_QP}
     name, arg = text, None
     if "(" in text and text.endswith(")"):
         name, inner = text[:-1].split("(", 1)
@@ -378,7 +378,7 @@ def parse_group(text: str, ctx: PContext, gens=None) -> GroupSpec:
             arg = int(inner)
         except ValueError as exc:
             raise InputError(f"bad dimension in {text!r}") from exc
-    name = aliases.get(name, name)
+    name = _ALIASES.get(name, name)
     if gens is not None:
         return GroupSpec(FINITELY_GENERATED, ctx, gens.n, gens)
     if name not in _CATALOG or name == FINITELY_GENERATED:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
 from . import matio
-from .analyzer import INCONCLUSIVE, GroupSpec, analyze, analyze_subgroup, parse_group, \
-    FINITELY_GENERATED
+from .analyzer import INCONCLUSIVE, GroupSpec, analyze, analyze_subgroup, is_catalog_name, \
+    parse_group, FINITELY_GENERATED
 from .dynamics import GeneratorSet, ku_flag, type_r_witness_search
 from .errors import CapExceeded, InputError, InternalInvariantViolation, NotTypeR, \
     PpmError, PrecisionExhausted
@@ -250,12 +251,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import os
     rng = random.Random(args.seed)
-    if os.path.exists(args.group):
-        doc = matio.load_document(args.group)
-        ctx = matio.context_of(doc, args.p, args.precision)
-        gens = GeneratorSet.of(ctx, matio.gens_from_doc(doc))
+    # a catalog name wins over a file of the same name
+    if not is_catalog_name(args.group) and os.path.exists(args.group):
+        ctx, gens = _load_gens(args, args.group)
         spec = GroupSpec(FINITELY_GENERATED, ctx, gens.n, gens)
     else:
         if args.p is None:

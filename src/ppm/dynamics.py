@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
 from .linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, \
-    elementary_divisors_with_directions, lattice_sum, lattice_intersect, newton_polygon
+    elementary_divisors_with_directions, lattice_sum, lattice_intersect, rref
 from .qpcore import PContext
 
 _DEFAULT_WORD_LEN = 4
@@ -46,19 +47,19 @@ class GeneratorSet:
         return cls(ctx, matrices[0].n, matrices)
 
     def with_inverses(self):
-        out = []
-        for g in self.gens:
-            out.append(g)
-            out.append(g.inverse())
-        return out
+        return [h for g in self.gens for h in (g, g.inverse())]
 
 
 def type_r_matrix(a: QMatrix, ctx: PContext) -> bool:
     """True iff every eigenvalue of a has p-adic absolute value 1,
-    i.e. the Newton polygon of the characteristic polynomial is flat."""
-    if a.det() == 0:
+    i.e. the Newton polygon of the characteristic polynomial is flat at
+    height 0: every coefficient is p-integral and the constant term,
+    which is +-det(a), is a p-unit."""
+    poly = char_poly(a)
+    if poly[-1] == 0:
         raise Singular("type R is only defined for invertible matrices")
-    return newton_polygon(char_poly(a), ctx).all_zero()
+    p = ctx.p
+    return poly[-1].numerator % p != 0 and all(c.denominator % p != 0 for c in poly)
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,8 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     inspected, so None never certifies that the whole group is type R.
     """
     ctx = group.ctx
-    alphabet = []
-    for i, g in enumerate(group.gens):
-        alphabet.append((i, 1, g))
-        alphabet.append((i, -1, g.inverse()))
+    alphabet = [(i, sign, h) for i, g in enumerate(group.gens)
+                for sign, h in ((1, g), (-1, g.inverse()))]
     seen = {QMatrix.identity(group.n)}
     frontier = [(QMatrix.identity(group.n), ())]
     for _ in range(word_len):
@@ -210,45 +209,24 @@ def _verify_flag(group: GeneratorSet, flag: FlagDecomposition):
                     "diagonal block does not fix its quotient lattice")
 
 
-def _nullspace(rows):
-    """Exact rational nullspace; returns a list of basis column vectors."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+def common_fixed_space(group: GeneratorSet):
+    """Basis of the subspace fixed pointwise by every generator: the
+    nullspace of the stacked g - 1, one vector per free column."""
+    stacked = []
+    ident = QMatrix.identity(group.n)
+    for g in group.gens:
+        stacked.extend((g - ident).rows)
+    m, pivots, _ = rref(stacked)
     basis = []
-    for c in free:
-        vec = [Fraction(0)] * ncols
+    for c in range(group.n):
+        if c in pivots:
+            continue
+        vec = [Fraction(0)] * group.n
         vec[c] = Fraction(1)
         for i, pc in enumerate(pivots):
             vec[pc] = -m[i][c]
         basis.append(tuple(vec))
     return basis
-
-
-def common_fixed_space(group: GeneratorSet):
-    """Basis of the subspace fixed pointwise by every generator."""
-    stacked = []
-    ident = QMatrix.identity(group.n)
-    for g in group.gens:
-        stacked.extend((g - ident).rows)
-    return _nullspace(stacked)
 
 
 def _complete_basis(cols, n):
@@ -257,30 +235,11 @@ def _complete_basis(cols, n):
     for j in range(n):
         e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
         trial = chosen + [e]
-        if _rank(trial) == len(trial):
+        if len(rref(trial)[1]) == len(trial):
             chosen.append(e)
         if len(chosen) == n:
             break
     return QMatrix.from_columns(chosen)
-
-
-def _rank(cols):
-    m = [list(c) for c in cols]
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
 
 
 def _split_action(group: GeneratorSet, subspace_cols):
@@ -353,10 +312,7 @@ def ku_flag(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN,
     if built is None:
         return None
     t, dims, lattices = built
-    total = []
-    for d in dims:
-        total.append(d + (total[-1] if total else 0))
-    cumulative = (0,) + tuple(total)
+    cumulative = (0, *accumulate(dims))
     t_inv = t.inverse()
     conj = tuple(t_inv * g * t for g in group.gens)
     flag = FlagDecomposition(t, cumulative, tuple(lattices), conj)
@@ -432,13 +388,7 @@ def _unbounded_recurse(group: GeneratorSet, rounds_cap, threshold):
 def _compose(t: QMatrix, head_dim: int, head_lattice: Lattice, tail):
     """Stitch a head step onto the recursive tail's basis change."""
     t_tail, dims_tail, lats_tail = tail
-    n = t.n
-    ident = QMatrix.identity(n)
-    block = [[ident.rows[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n - head_dim):
-        for j in range(n - head_dim):
-            block[head_dim + i][head_dim + j] = t_tail.rows[i][j]
-        for j in range(head_dim):
-            block[head_dim + i][j] = Fraction(0)
-    embedded = QMatrix(block)
-    return t * embedded, [head_dim] + dims_tail, [head_lattice] + lats_tail
+    block = [list(row) for row in QMatrix.identity(t.n).rows]
+    for i, row in enumerate(t_tail.rows):  # t_tail on the trailing diagonal block
+        block[head_dim + i][head_dim:] = row
+    return t * QMatrix(block), [head_dim] + dims_tail, [head_lattice] + lats_tail

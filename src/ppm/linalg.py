@@ -1,5 +1,11 @@
 """Exact matrices over Q, Newton polygons, and Z_p-lattice arithmetic.
 
+Every Gaussian elimination over Q goes through one kernel, ``rref``: it
+returns the reduced row echelon form, the pivot columns and the
+determinant, all exact. Determinants, inverses, ranks and nullspaces
+(``dynamics.common_fixed_space``) are read off it; since the reduced
+form is unique, so are their results.
+
 A Lattice is a full-rank Z_p-lattice in Q_p^n, i.e. a compact open
 subgroup of the additive group, held in a canonical Hermite basis over
 the local ring Z_(p) so that equality is a structural comparison. All
@@ -11,15 +17,50 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotNested, Singular
-from .qpcore import INFINITY, PContext, as_fraction, format_scalar, vp_int
+from .qpcore import PContext, as_fraction, format_scalar, vp_frac, vp_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _vp_frac(x: Fraction, p: int) -> int:
-    # caller guarantees x != 0
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+def rref(rows, width=None, det_only=False):
+    """Gauss-Jordan elimination over Q on a copy of rows.
+
+    Pivots are sought in the first width columns (default: all), top
+    down; columns past width are carried along, as for augmented
+    systems. Returns (reduced rows, pivot columns, det), where det is
+    the determinant of the first width columns when they form a square
+    block. det_only clears below each pivot only, leaving the rows in
+    echelon form, and stops at the first column without a pivot (det 0).
+    """
+    m = [list(row) for row in rows]
+    width = len(m[0]) if width is None else width
+    pivots, det, r = [], _ONE, 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            if det_only:
+                return m, pivots, _ZERO
+            det = _ZERO
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        top = m[r]
+        det *= top[c]
+        inv = 1 / top[c]
+        if not det_only:  # a determinant needs no unit pivots
+            top[c:] = [x * inv for x in top[c:]]
+        for i in range(r + 1 if det_only else 0, len(m)):
+            row = m[i]
+            if row[c] != 0 and i != r:
+                f = row[c] * inv if det_only else row[c]
+                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, det
 
 
 class QMatrix:
@@ -111,49 +152,17 @@ class QMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
 
-    def mul_vector(self, vec):
-        vec = [as_fraction(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
-    def is_identity(self) -> bool:
-        return self == QMatrix.identity(self.n)
-
     def det(self) -> Fraction:
-        """Determinant by exact Gaussian elimination."""
-        n = self.n
-        m = [list(row) for row in self.rows]
-        det = _ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return _ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        return det
+        """Determinant, read off the forward pass of the kernel."""
+        return rref(self.rows, det_only=True)[2]
 
     def inverse(self) -> "QMatrix":
+        """Inverse, read off the reduced form of [self | 1]."""
         n = self.n
-        m = [list(row) + [(_ONE if i == j else _ZERO) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+        m, pivots, _ = rref([row + tuple(_ONE if i == j else _ZERO for j in range(n))
+                             for i, row in enumerate(self.rows)], width=n)
+        if len(pivots) < n:
+            raise Singular("matrix is singular")
         return QMatrix([row[n:] for row in m])
 
 
@@ -233,7 +242,7 @@ def newton_polygon(poly, ctx: PContext) -> NewtonPolygon:
     for i in range(d + 1):
         c = coeffs[d - i]
         if c != 0:
-            pts.append((i, Fraction(_vp_frac(c, ctx.p))))
+            pts.append((i, Fraction(vp_frac(c, ctx.p))))
     # lower convex hull, left to right (pts already sorted by abscissa)
     hull = []
     for pt in pts:
@@ -262,14 +271,9 @@ def _canonical_rep(x: Fraction, e: int, p: int) -> Fraction:
     The representative is m / p^t in [0, p^e) with m an integer; unit
     parts of the denominator are cleared by modular inversion.
     """
-    if x == 0:
-        return _ZERO
-    v = _vp_frac(x, p)
-    if v >= e:
+    if vp_frac(x, p) >= e:  # zero too: its valuation is INFINITY
         return _ZERO
     t = vp_int(x.denominator, p)
-    if t is INFINITY:  # pragma: no cover - denominator is never 0
-        raise AssertionError
     mod = p ** (e + t)
     unit = x.denominator // p ** t
     m = x.numerator * pow(unit, -1, mod) % mod
@@ -295,7 +299,7 @@ def _canonical_columns(ctx: PContext, cols):
         for j in unassigned:
             x = work[j][i]
             if x != 0:
-                v = _vp_frac(x, p)
+                v = vp_frac(x, p)
                 if bestv is None or v < bestv:
                     best, bestv = j, v
         if best is None:
@@ -313,7 +317,7 @@ def _canonical_columns(ctx: PContext, cols):
                     work[j][r] -= q * piv[r]
                 work[j][i] = _ZERO
         assigned[i] = piv
-    exps = [_vp_frac(assigned[i][i], p) for i in range(n)]
+    exps = [vp_frac(assigned[i][i], p) for i in range(n)]
     for j in range(n):
         col = assigned[j]
         for i in range(j - 1, -1, -1):
@@ -358,7 +362,7 @@ class Lattice:
 
     def diagonal_exponents(self):
         p = self.ctx.p
-        return tuple(_vp_frac(self.basis.rows[i][i], p) for i in range(self.n))
+        return tuple(vp_frac(self.basis.rows[i][i], p) for i in range(self.n))
 
     def det_valuation(self) -> int:
         return sum(self.diagonal_exponents())
@@ -446,7 +450,7 @@ def _local_snf(ctx: PContext, m: QMatrix, want_transform: bool):
         for i in range(t, n):
             for j in range(t, n):
                 if a[i][j] != 0:
-                    v = _vp_frac(a[i][j], p)
+                    v = vp_frac(a[i][j], p)
                     if bestv is None or v < bestv:
                         best, bestv = (i, j), v
         if best is None:

@@ -5,7 +5,8 @@ Lattice files:   same plus "lattice": true (entries are the canonical basis)
 Generator sets:  {"p": int, "n": int, "gens": [entries, entries, ...]}
 
 Entries are row-major strings in the scalar grammar "a/b" or "a";
-plain JSON numbers are accepted on input.
+plain JSON integers are accepted on input. "p" and "n" are JSON
+integers. Floats and booleans are rejected, never truncated.
 """
 from __future__ import annotations
 
@@ -17,12 +18,16 @@ from .linalg import Lattice, QMatrix
 from .qpcore import PContext, format_scalar, parse_scalar
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be a JSON integer, not {x!r}")
+    return x
+
+
 def _entry(x) -> Fraction:
     if isinstance(x, str):
         return parse_scalar(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    raise InputError(f"bad matrix entry {x!r}")
+    return Fraction(_json_int(x, "a matrix entry"))
 
 
 def _entries_to_matrix(entries, n: int) -> QMatrix:
@@ -51,17 +56,18 @@ def context_of(doc: dict, override_p: int | None = None,
     p = doc.get("p", override_p)
     if p is None:
         raise InputError("no prime: provide \"p\" in the file or -p on the command line")
+    p = _json_int(p, "\"p\"")
     if override_p is not None and p != override_p:
         raise InputError(f"file says p = {p} but the command line says p = {override_p}")
     try:
-        return PContext(int(p), precision if precision is not None else 20)
+        return PContext(p, precision if precision is not None else 20)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def matrix_from_doc(doc: dict) -> QMatrix:
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "\"n\"")
         return _entries_to_matrix(doc["entries"], n)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix document: {exc}") from exc
@@ -69,7 +75,7 @@ def matrix_from_doc(doc: dict) -> QMatrix:
 
 def gens_from_doc(doc: dict):
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "\"n\"")
         raw = doc["gens"]
         if not isinstance(raw, list) or not raw:
             raise InputError("\"gens\" must be a non-empty list")
@@ -86,10 +92,6 @@ def lattice_doc(lat: Lattice) -> dict:
     doc = matrix_doc(lat.basis, lat.ctx)
     doc["lattice"] = True
     return doc
-
-
-def gens_doc(gens, ctx: PContext) -> dict:
-    return {"p": ctx.p, "n": gens[0].n, "gens": [_matrix_to_entries(g) for g in gens]}
 
 
 def dump(doc: dict, path: str):

@@ -1,6 +1,13 @@
 """Integer matrix helpers modulo p^m. Internal.
 
 Matrices are tuples of tuples of ints, entries reduced mod p^m.
+
+Every Gaussian elimination over F_p goes through one kernel,
+``rref_mod``: it returns the reduced row echelon form mod p, the pivot
+columns and the determinant mod p. Determinants, inverses mod p (the
+seed of the Newton lift in ``mat_inv``) and the affine solutions of
+``roots.finite_root`` are read off it; since the reduced form is
+unique, so are their results.
 """
 from __future__ import annotations
 
@@ -46,60 +53,64 @@ def mat_pow(a: Mat, e: int, mod: int) -> Mat:
     return out
 
 
-def det_mod(a: Mat, p: int) -> int:
-    """Determinant mod a prime p by Gaussian elimination over F_p."""
-    n = len(a)
-    m = [list(r) for r in reduce_mat(a, p)]
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] % p), None)
+def rref_mod(rows, p: int, width=None, det_only=False):
+    """Gauss-Jordan elimination over F_p on a copy of rows, reduced mod p.
+
+    Same contract as ``linalg.rref`` over Q, with det returned mod p.
+    """
+    m = [[x % p for x in row] for row in rows]
+    width = len(m[0]) if width is None else width
+    pivots, det, r = [], 1, 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+            if det_only:
+                return m, pivots, 0
+            det = 0
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv % p
-                for k in range(c, n):
-                    m[r][k] = (m[r][k] - f * m[c][k]) % p
-    return det % p
+        top = m[r]
+        det = det * top[c] % p
+        inv = pow(top[c], -1, p)
+        if not det_only:  # a determinant needs no unit pivots
+            top = m[r] = [x * inv % p for x in top]
+        for i in range(r + 1 if det_only else 0, len(m)):
+            if m[i][c] and i != r:
+                f = m[i][c] * inv % p if det_only else m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, det % p
+
+
+def det_mod(a: Mat, p: int) -> int:
+    """Determinant mod a prime p, read off the forward pass of the kernel."""
+    return rref_mod(a, p, det_only=True)[2]
 
 
 def invertible_mod(a: Mat, p: int) -> bool:
     return det_mod(a, p) != 0
 
 
-def _inv_mod_p(a: Mat, p: int) -> Mat:
-    n = len(a)
-    m = [list(r) + [1 if i == j else 0 for j in range(n)]
-         for i, r in enumerate(reduce_mat(a, p))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] % p), None)
-        if piv is None:
-            raise Singular("matrix not invertible mod p")
-        m[c], m[piv] = m[piv], m[c]
-        inv = pow(m[c][c], -1, p)
-        m[c] = [x * inv % p for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
 def mat_inv(a: Mat, p: int, m: int = 1) -> Mat:
-    """Inverse mod p^m: invert mod p, then Newton-lift, doubling precision."""
+    """Inverse mod p^m: invert mod p by the kernel on [a | 1], then
+    Newton-lift, doubling precision."""
+    n = len(a)
     mod = p ** m
-    x = _inv_mod_p(a, p)
+    red, pivots, _ = rref_mod([(*row, *e) for row, e in zip(a, identity_mat(n))], p, width=n)
+    if len(pivots) < n:
+        raise Singular("matrix not invertible mod p")
+    x = tuple(tuple(row[n:]) for row in red)
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
         cur = p ** prec
         ax = mat_mul(reduce_mat(a, cur), x, cur)
-        two_i = mat_scale(2, identity_mat(len(a)), cur)
+        two_i = mat_scale(2, identity_mat(n), cur)
         x = mat_mul(x, tuple(tuple((u - v) % cur for u, v in zip(r, s))
                              for r, s in zip(two_i, ax)), cur)
     return reduce_mat(x, mod)

@@ -6,12 +6,11 @@ coprimality criteria and the root machinery on honest finite quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import modmat
 from .errors import CapExceeded
 from .qpcore import PContext
-from .steinitz import Supernatural, coprime, general_linear_order
+from .steinitz import Supernatural, _factor, coprime, general_linear_order
 
 
 def _key(mat) -> tuple:
@@ -46,9 +45,6 @@ class FiniteGroupTable:
         if not hasattr(self, "_idx"):
             object.__setattr__(self, "_idx", frozenset(_key(m) for m in self.elements))
         return self._idx
-
-    def as_matrices(self):
-        return self.elements
 
 
 def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> FiniteGroupTable:
@@ -131,19 +127,15 @@ def full_gl_generators(n: int, p: int, m: int = 1):
     """A generating set of GL(n, Z/p^m): elementary transvections (these
     generate SL over the local ring) plus diagonal matrices carrying
     generators of the unit group, to reach every determinant."""
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                g = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                g[i][j] = 1
-                gens.append(tuple(tuple(r) for r in g))
+    def identity_but(i, j, x):
+        return tuple(tuple(x if (a, b) == (i, j) else int(a == b) for b in range(n))
+                     for a in range(n))
+
+    gens = [identity_but(i, j, 1) for i in range(n) for j in range(n) if i != j]
     for scalar_gen in unit_group_generators(p, m):
         unit = scalar_gen[0][0]
         if unit % p ** m != 1:
-            d = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            d[0][0] = unit
-            gens.append(tuple(tuple(r) for r in d))
+            gens.append(identity_but(0, 0, unit))
     if not gens:  # n = 1 over Z/2
         gens.append(((1,),))
     return gens
@@ -153,22 +145,9 @@ def _primitive_root(p: int) -> int:
     if p == 2:
         return 1
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in _factor(p - 1)):
             return g
     raise AssertionError("no primitive root found")
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def unit_group_generators(p: int, m: int):
@@ -189,7 +168,3 @@ def is_subgroup(small: FiniteGroupTable, big: FiniteGroupTable) -> bool:
 def lagrange_consistent(big: FiniteGroupTable, small: FiniteGroupTable) -> bool:
     """|K| = [K : L] * |L| for a subgroup L of K."""
     return is_subgroup(small, big) and big.order % small.order == 0
-
-
-def gcd_with_order(k: int, table: FiniteGroupTable) -> int:
-    return gcd(k, table.order)

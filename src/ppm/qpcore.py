@@ -7,6 +7,7 @@ can occur anywhere upstream.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -126,12 +127,18 @@ def as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse "a/b" or "a" with optional sign, exact."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse scalar {text!r}") from exc
+    """Parse "a/b" or "a" with optional sign, exact. Decimal points and
+    exponents are outside the grammar and rejected, not rounded."""
+    if _SCALAR.fullmatch(text.strip()):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"cannot parse scalar {text!r}")
 
 
 def format_scalar(x: Scalar) -> str:
@@ -153,12 +160,16 @@ def vp_int(n: int, p: int) -> ExtendedInt:
     return v
 
 
-def vp(x: Scalar, ctx: PContext) -> ExtendedInt:
-    """p-adic valuation. v(0) = +inf, |x|_p = p^(-v(x))."""
-    x = as_fraction(x)
+def vp_frac(x: Fraction, p: int) -> ExtendedInt:
+    """Valuation of a rational at the prime p; INFINITY for zero."""
     if x == 0:
         return INFINITY
-    return vp_int(x.numerator, ctx.p) - vp_int(x.denominator, ctx.p)
+    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
+
+def vp(x: Scalar, ctx: PContext) -> ExtendedInt:
+    """p-adic valuation. v(0) = +inf, |x|_p = p^(-v(x))."""
+    return vp_frac(as_fraction(x), ctx.p)
 
 
 @dataclass(frozen=True, slots=True)

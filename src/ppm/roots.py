@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Optional, Union
 
@@ -16,7 +17,7 @@ from . import modmat
 from .errors import BadDomain, CapExceeded, InternalInvariantViolation, NotUnipotent, \
     PDividesK, PrecisionExhausted
 from .linalg import QMatrix
-from .qpcore import PContext, ResidueScalar, as_fraction, reduce_mod
+from .qpcore import PContext, ResidueScalar, as_fraction, reduce_mod, vp_int
 
 FOUND = "found"
 OBSTRUCTED = "obstructed"
@@ -118,12 +119,18 @@ def unipotent_root(u: QMatrix, k: int) -> RootResult:
     return RootResult.found(root)
 
 
-def _as_approx(a, ctx: PContext, level: int) -> PadicApproxMatrix:
+def _as_approx(a, ctx: Optional[PContext], level: Optional[int]):
+    """(a as a PadicApproxMatrix, its context, the working level). A
+    PadicApproxMatrix brings its own context and default level."""
     if isinstance(a, PadicApproxMatrix):
-        return a
+        return a, a.ctx, a.level if level is None else level
+    if ctx is None:
+        raise ValueError("need a PContext")
+    if level is None:
+        level = ctx.precision_n
     if isinstance(a, QMatrix):
-        return PadicApproxMatrix.from_rational(ctx, a, level)
-    return PadicApproxMatrix(ctx, level, a)
+        return PadicApproxMatrix.from_rational(ctx, a, level), ctx, level
+    return PadicApproxMatrix(ctx, level, a), ctx, level
 
 
 def congruence_root(a, k: int, ctx: Optional[PContext] = None,
@@ -135,14 +142,7 @@ def congruence_root(a, k: int, ctx: Optional[PContext] = None,
     X' = X(1 + p^m Y), the defect equation reduces to k Y = D over F_p,
     and k is invertible there. One pass per level, no search.
     """
-    if isinstance(a, PadicApproxMatrix):
-        ctx = a.ctx
-        level = a.level if level is None else level
-    if ctx is None:
-        raise ValueError("need a PContext")
-    if level is None:
-        level = ctx.precision_n
-    a = _as_approx(a, ctx, level)
+    a, ctx, level = _as_approx(a, ctx, level)
     p, n = ctx.p, a.n
     if gcd(k, p) != 1:
         raise PDividesK(f"gcd({k}, {p}) != 1")
@@ -193,54 +193,22 @@ def _ad_sum_operator(x: modmat.Mat, k: int, p: int) -> list:
     return [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
 
 
-def _solve_affine_fp(mat: list, rhs: list, p: int):
-    """All solutions of mat*y = rhs over F_p: (particular, kernel basis),
-    or None when inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = [list(r) + [b] for r, b in zip(mat, rhs)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] % p:
-            return None
-    particular = [0] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = m[i][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    kernel = []
-    for c in free:
-        vec = [0] * cols
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-m[i][c]) % p
-        kernel.append(vec)
-    return particular, kernel
-
-
-def _enumerate_solutions(particular, kernel, p):
-    if not kernel:
-        yield list(particular)
+def _affine_solutions(mat: list, rhs: list, p: int):
+    """Every solution of mat*y = rhs over F_p, none when inconsistent,
+    read off the reduced form of [mat | rhs]. The free coordinates run
+    through F_p in lexicographic order."""
+    cols = len(mat[0])
+    m, pivots, _ = modmat.rref_mod([list(r) + [b] for r, b in zip(mat, rhs)], p, width=cols)
+    if any(row[cols] for row in m[len(pivots):]):
         return
-    from itertools import product as iproduct
-    for coeffs in iproduct(range(p), repeat=len(kernel)):
-        yield [(particular[i] + sum(c * vec[i] for c, vec in zip(coeffs, kernel))) % p
-               for i in range(len(particular))]
+    free = [c for c in range(cols) if c not in pivots]
+    for coeffs in product(range(p), repeat=len(free)):
+        y = [0] * cols
+        for c, t in zip(free, coeffs):
+            y[c] = t
+        for i, pc in enumerate(pivots):
+            y[pc] = (m[i][cols] - sum(m[i][c] * t for c, t in zip(free, coeffs))) % p
+        yield y
 
 
 def finite_root(a, k: int, ctx: Optional[PContext] = None,
@@ -255,14 +223,7 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if isinstance(a, PadicApproxMatrix):
-        ctx = a.ctx
-        level = a.level if level is None else level
-    if ctx is None:
-        raise ValueError("need a PContext")
-    if level is None:
-        level = ctx.precision_n
-    a = _as_approx(a, ctx, level)
+    a, ctx, level = _as_approx(a, ctx, level)
     p, n = ctx.p, a.n
     target_p = modmat.reduce_mat(a.entries, p)
     seeds = [x for x in modmat.all_invertible_mats(n, p)
@@ -296,19 +257,15 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
                                tuple(tuple((d // step) % p for d in row) for row in diff), p)
         op = _ad_sum_operator(x, k, p)
         rhs = [d_mat[i][j] for i in range(n) for j in range(n)]
-        sols = _solve_affine_fp(op, rhs, p)
-        if sols is None:
-            deepest_death = max(deepest_death, m)
-            continue
-        particular, kernel = sols
         lifts = []
-        for yvec in _enumerate_solutions(particular, kernel, p):
+        for yvec in _affine_solutions(op, rhs, p):
             y = tuple(tuple(yvec[i * n + j] for j in range(n)) for i in range(n))
             bump = modmat.mat_add(modmat.identity_mat(n), modmat.mat_scale(step, y, mod_next),
                                   mod_next)
             lifts.append((modmat.mat_mul(modmat.reduce_mat(x, mod_next), bump, mod_next), m + 1))
-        for lift in reversed(sorted(lifts)):
-            stack.append(lift)
+        if not lifts:  # inconsistent: this branch dies here
+            deepest_death = max(deepest_death, m)
+        stack.extend(sorted(lifts, reverse=True))
     return RootResult.no_root(deepest_death)
 
 
@@ -349,12 +306,9 @@ def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootRe
         if s == 0:
             saw_undecidable = True
             continue
-        sval = 0
-        ss = s
-        while ss % p == 0:
-            ss //= p
-            sval += 1
-        bval = level if b_res == 0 else _int_val(b_res, p)
+        sval = vp_int(s, p)
+        ss = s // p ** sval
+        bval = level if b_res == 0 else vp_int(b_res, p)
         if sval == 0:
             beta = b_res * pow(s, -1, mod) % mod
             return _verified_axb(alpha, beta, k, level, ctx, (a_res, b_res))
@@ -374,14 +328,6 @@ def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootRe
     if obstructions:
         return RootResult.obstructed("; ".join(obstructions))
     return RootResult.no_root(level)
-
-
-def _int_val(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def _unit_roots(a: int, k: int, ctx: PContext, level: int):

@@ -17,9 +17,10 @@ from .qpcore import PContext
 
 
 def _polygon(a: QMatrix, ctx: PContext):
-    if a.det() == 0:
+    poly = char_poly(a)
+    if poly[-1] == 0:  # the constant term is +-det(a)
         raise Singular("scale is only defined for invertible maps")
-    return newton_polygon(char_poly(a), ctx)
+    return newton_polygon(poly, ctx)
 
 
 def scale_newton(a: QMatrix, ctx: PContext) -> int:

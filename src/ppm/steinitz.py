@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import prod
 
 from .errors import UnknownCatalogEntry
 from .qpcore import is_prime
@@ -152,14 +153,7 @@ def profinite_surjective(k: int, order: Supernatural) -> bool:
 
 def general_linear_order(n: int, p: int) -> int:
     """|GL(n, F_p)| = prod_{i<n} (p^n - p^i)."""
-    return 1 if n == 0 else _prod(p ** n - p ** i for i in range(n))
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return prod(p ** n - p ** i for i in range(n))
 
 
 def ord_catalog(group: str, p: int, n: int = 1, level: int = 1) -> Supernatural:

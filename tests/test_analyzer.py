@@ -168,3 +168,31 @@ def test_parse_group_grammar():
         parse_group("UnitsZp(2)", CTX3)
     with pytest.raises(InputError):
         parse_group("Sporadic", CTX3)
+
+
+def test_finitely_generated_analyze_runs_the_word_search_once(monkeypatch):
+    import ppm.analyzer
+    import ppm.dynamics
+    calls = []
+    search = ppm.dynamics.type_r_witness_search
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    # patch every namespace that could hold the search
+    monkeypatch.setattr(ppm.dynamics, "type_r_witness_search", counting)
+    monkeypatch.setattr(ppm.analyzer, "type_r_witness_search", counting, raising=False)
+    u1 = QMatrix([[1, 1], [0, 1]])
+    type_r_pair = [u1, QMatrix([[1, F(1, 3)], [0, 1]])]
+    witness_pair = [u1, QMatrix([[1, 0], [F(1, 3), 1]])]
+    for gens, conclusion in [(type_r_pair, INCONCLUSIVE), (witness_pair, NOT_DENSE)]:
+        calls.clear()
+        v = analyze(GroupSpec(FINITELY_GENERATED, CTX3, 2, GeneratorSet.of(CTX3, gens)), 4)
+        assert v.conclusion == conclusion
+        assert len(calls) == 1
+    assert v.justification[0] == (
+        "eigenvalue-witness",
+        "word g1·g2 has an eigenvalue of absolute value != 1, "
+        "which dense power images forbid")
+    assert v.certificate == {"witness_word": "g1·g2"}

@@ -145,3 +145,33 @@ def test_module_entry_point(matrix_file):
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "3^1" in out.stdout
+
+
+def test_catalog_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    # a type-R generator file would give an inconclusive verdict
+    (tmp_path / "UnitsZp").write_text(json.dumps(
+        {"p": 3, "n": 1, "gens": [[["1"]]]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "UnitsZp", "-p", "3", "-k", "2", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["conclusion"] == "NotDense"
+    assert "compact-group-order" in payload["citations"]
+
+
+def test_coerced_numbers_are_input_errors(tmp_path, capsys):
+    docs = {
+        "float_p.json": {"p": 3.7, "n": 1, "entries": [["1"]]},
+        "string_p.json": {"p": "3", "n": 1, "entries": [["1"]]},
+        "float_n.json": {"p": 3, "n": 1.0, "entries": [["1"]]},
+        "bool_entry.json": {"p": 3, "n": 1, "entries": [[True]]},
+        "decimal_entry.json": {"p": 3, "n": 1, "entries": [["1.5"]]},
+        "exponent_entry.json": {"p": 3, "n": 1, "entries": [["1e3"]]},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert main(["scale", str(path)]) == EXIT_INPUT, name
+    axb = tmp_path / "axb.json"
+    axb.write_text(json.dumps({"p": 5, "a": 1.5, "b": "1"}))
+    assert main(["root", "--kind", "axb", "-k", "3", str(axb)]) == EXIT_INPUT
+    capsys.readouterr()

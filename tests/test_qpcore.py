@@ -90,3 +90,11 @@ def test_scalar_parse_and_format_roundtrip():
         parse_scalar("a/b")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
+
+
+def test_parse_scalar_rejects_decimals_and_exponents():
+    for text in ["1.5", "1e3", "1E3", "-2.0", ".5", "1/2.5", "3/1e1", "inf", "nan", " "]:
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+    assert parse_scalar(" -3/4 ") == F(-3, 4)
+    assert parse_scalar("+12") == 12
