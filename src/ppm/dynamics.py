@@ -4,13 +4,16 @@ Three layers: a type-R sampler over short words (a necessary condition
 only, flagged as such), a boundedness decision by lattice saturation
 with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
-bounded. Flag certificates are re-verified before they are returned;
+bounded. Flag certificates are re-verified before they are returned.
+An UNBOUNDED verdict on one generator is certified by the scale
+criterion (the generator is not type R); on two or more generators,
 negative verdicts are evidence, never proofs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Optional
 
@@ -30,6 +33,7 @@ class GeneratorSet:
     ctx: PContext
     n: int
     gens: tuple
+    inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.gens)
@@ -37,9 +41,9 @@ class GeneratorSet:
             raise ValueError("need at least one generator")
         if any(g.n != self.n for g in gens):
             raise ValueError("generator dimensions disagree")
-        if any(g.det() == 0 for g in gens):
-            raise Singular("generators must be invertible")
         object.__setattr__(self, "gens", gens)
+        # each generator is inverted once, here; that also rejects singular ones
+        object.__setattr__(self, "inverses", tuple(g.inverse() for g in gens))
 
     @classmethod
     def of(cls, ctx: PContext, matrices) -> "GeneratorSet":
@@ -47,7 +51,7 @@ class GeneratorSet:
         return cls(ctx, matrices[0].n, matrices)
 
     def with_inverses(self):
-        return [h for g in self.gens for h in (g, g.inverse())]
+        return [h for pair in zip(self.gens, self.inverses) for h in pair]
 
 
 def type_r_matrix(a: QMatrix, ctx: PContext) -> bool:
@@ -84,8 +88,8 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     inspected, so None never certifies that the whole group is type R.
     """
     ctx = group.ctx
-    alphabet = [(i, sign, h) for i, g in enumerate(group.gens)
-                for sign, h in ((1, g), (-1, g.inverse()))]
+    alphabet = [(i, sign, h) for i, pair in enumerate(zip(group.gens, group.inverses))
+                for sign, h in zip((1, -1), pair)]
     seen = {QMatrix.identity(group.n)}
     frontier = [(QMatrix.identity(group.n), ())]
     for _ in range(word_len):
@@ -118,8 +122,9 @@ class BoundednessResult:
     BOUNDED carries a lattice fixed exactly by every generator (a real
     certificate). UNBOUNDED carries the elementary-divisor trace showing
     monotone growth past the threshold, strict on every recent window of
-    three rounds (evidence, not proof). INCONCLUSIVE reports the caps
-    that ran out.
+    three rounds. For one generator it is certified: that generator is
+    not type R, so no invariant lattice exists. For two or more it is
+    evidence, not proof. INCONCLUSIVE reports the caps that ran out.
     """
 
     verdict: str
@@ -129,21 +134,29 @@ class BoundednessResult:
     caps: Optional[dict] = None
 
 
+def _orbit_round(lat: Lattice, mats, combine) -> Lattice:
+    """One saturation round: fold combine over lat and its images g(lat)."""
+    return reduce(combine, (apply(g, lat) for g in mats), lat)
+
+
 def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS,
                   divisor_threshold: int = _DEFAULT_DIVISOR_THRESHOLD) -> BoundednessResult:
     """Grow the standard lattice by the generator orbit until it stops
     (bounded, with the fixpoint as certificate) or its elementary
-    divisors against the start diverge monotonically (unbounded)."""
+    divisors against the start diverge monotonically (unbounded).
+
+    The divergence heuristic never overrules the scale criterion: a
+    single type-R generator has an invariant lattice, so for it the
+    saturation goes on up to rounds_cap instead."""
     ctx = group.ctx
     start = Lattice.standard(ctx, group.n)
     gens_and_invs = group.with_inverses()
     lat = start
     trace = []
     mins = [0]
+    may_diverge = None  # decided when the divergence evidence first appears
     for round_no in range(1, rounds_cap + 1):
-        grown = lat
-        for g in gens_and_invs:
-            grown = lattice_sum(grown, apply(g, lat))
+        grown = _orbit_round(lat, gens_and_invs, lattice_sum)
         if grown == lat:
             for g in gens_and_invs:
                 if apply(g, lat) != lat:
@@ -158,7 +171,11 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS,
         # kept falling across every recent window of _STREAK rounds
         if mins[-1] <= -divisor_threshold and len(mins) > _STREAK \
                 and mins[-1] < mins[-1 - _STREAK]:
-            return BoundednessResult(UNBOUNDED, divisor_trace=tuple(trace), rounds=round_no)
+            if may_diverge is None:
+                may_diverge = len(group.gens) > 1 or not type_r_matrix(group.gens[0], ctx)
+            if may_diverge:
+                return BoundednessResult(UNBOUNDED, divisor_trace=tuple(trace),
+                                         rounds=round_no)
         lat = grown
     return BoundednessResult(INCONCLUSIVE, divisor_trace=tuple(trace), rounds=rounds_cap,
                              caps={"rounds": rounds_cap, "divisor_threshold": divisor_threshold})
@@ -191,20 +208,15 @@ class FlagDecomposition:
 
 
 def _verify_flag(group: GeneratorSet, flag: FlagDecomposition):
-    basis_inv = flag.flag_basis.inverse()
+    basis = flag.flag_basis  # invertible: ku_flag inverted it to conjugate
     for g, conj in zip(group.gens, flag.conjugated_gens):
-        if basis_inv * g * flag.flag_basis != conj:
+        if g * basis != basis * conj:
             raise InternalInvariantViolation("conjugated generator mismatch")
-        for i in range(flag.steps):
-            hi = flag.dims[i + 1]
-            for r in range(hi, group.n):
-                for c in range(flag.dims[i], hi):
-                    if conj.rows[r][c] != 0:
-                        raise InternalInvariantViolation(
-                            "flag certificate is not block triangular")
-        for i in range(flag.steps):
-            if apply(flag.block(conj, i), flag.quotient_lattices[i]) \
-                    != flag.quotient_lattices[i]:
+        for i, lat in enumerate(flag.quotient_lattices):
+            lo, hi = flag.dims[i], flag.dims[i + 1]
+            if any(conj.rows[r][c] != 0 for r in range(hi, group.n) for c in range(lo, hi)):
+                raise InternalInvariantViolation("flag certificate is not block triangular")
+            if apply(flag.block(conj, i), lat) != lat:
                 raise InternalInvariantViolation(
                     "diagonal block does not fix its quotient lattice")
 
@@ -253,10 +265,8 @@ def _split_action(group: GeneratorSet, subspace_cols):
     restricted, quotient = [], []
     for g in group.gens:
         conj = t_inv * g * t
-        for r in range(d, n):
-            for c in range(d):
-                if conj.rows[r][c] != 0:
-                    return None
+        if any(conj.rows[r][c] != 0 for r in range(d, n) for c in range(d)):
+            return None
         restricted.append(QMatrix([row[:d] for row in conj.rows[:d]]))
         quotient.append(QMatrix([row[d:] for row in conj.rows[d:]]))
     return t, restricted, quotient
@@ -283,11 +293,6 @@ def _stable_directions(history, threshold):
     if stable and diverging and len(stable) + len(diverging) == length:
         return stable
     return None
-
-
-def _bounded_or_none(group: GeneratorSet, rounds_cap, threshold):
-    res = bounded_group(group, rounds_cap, threshold)
-    return res if res.verdict == BOUNDED else None
 
 
 def ku_flag(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN,
@@ -326,18 +331,8 @@ def _flag_recurse(group: GeneratorSet, rounds_cap, threshold):
     res = bounded_group(group, rounds_cap, threshold)
     if res.verdict == BOUNDED:
         fixed = common_fixed_space(group)
-        if 0 < len(fixed) < n:
-            split = _split_action(group, fixed)
-            assert split is not None  # fixed spaces are always invariant
-            t, restricted, quotient = split
-            sub_res = _bounded_or_none(GeneratorSet(group.ctx, len(fixed), tuple(restricted)),
-                                       rounds_cap, threshold)
-            assert sub_res is not None  # identity action on a fixed space
-            tail = _flag_recurse(GeneratorSet(group.ctx, n - len(fixed), tuple(quotient)),
-                                 rounds_cap, threshold)
-            if tail is None:
-                return None
-            return _compose(t, len(fixed), sub_res.invariant, tail)
+        if 0 < len(fixed) < n:  # always invariant, with the identity action on it
+            return _split_flag(group, fixed, rounds_cap, threshold)
         return QMatrix.identity(n), [n], [res.invariant]
     if res.verdict == INCONCLUSIVE:
         return None
@@ -347,17 +342,14 @@ def _flag_recurse(group: GeneratorSet, rounds_cap, threshold):
 def _unbounded_recurse(group: GeneratorSet, rounds_cap, threshold):
     """Decreasing intersection saturation; the directions whose divisors
     stabilize while the rest diverge span the bounded-orbit candidate."""
-    ctx = group.ctx
     n = group.n
-    start = Lattice.standard(ctx, n)
+    start = Lattice.standard(group.ctx, n)
     gens_and_invs = group.with_inverses()
     lat = start
     history = []
     stable = None
     for _ in range(rounds_cap):
-        shrunk = lat
-        for g in gens_and_invs:
-            shrunk = lattice_intersect(shrunk, apply(g, lat))
+        shrunk = _orbit_round(lat, gens_and_invs, lattice_intersect)
         if shrunk == lat:
             break  # cannot happen after an UNBOUNDED verdict, but stay safe
         divisors, directions = elementary_divisors_with_directions(start, shrunk)
@@ -369,20 +361,23 @@ def _unbounded_recurse(group: GeneratorSet, rounds_cap, threshold):
     if stable is None or not 0 < len(stable) < n:
         return None
     directions = history[-1][1]
-    candidate = [directions.column(i) for i in stable]
-    split = _split_action(group, candidate)
+    return _split_flag(group, [directions.column(i) for i in stable], rounds_cap, threshold)
+
+
+def _split_flag(group: GeneratorSet, cols, rounds_cap, threshold):
+    """Flag whose first step is the span of cols: None unless that span is
+    invariant, the action on it bounded and the quotient's flag found."""
+    split = _split_action(group, cols)
     if split is None:
         return None
     t, restricted, quotient = split
-    sub_res = _bounded_or_none(GeneratorSet(ctx, len(candidate), tuple(restricted)),
-                               rounds_cap, threshold)
-    if sub_res is None:
+    d = len(cols)
+    head = bounded_group(GeneratorSet(group.ctx, d, tuple(restricted)), rounds_cap, threshold)
+    if head.verdict != BOUNDED:
         return None
-    tail = _flag_recurse(GeneratorSet(ctx, n - len(candidate), tuple(quotient)),
+    tail = _flag_recurse(GeneratorSet(group.ctx, group.n - d, tuple(quotient)),
                          rounds_cap, threshold)
-    if tail is None:
-        return None
-    return _compose(t, len(candidate), sub_res.invariant, tail)
+    return None if tail is None else _compose(t, d, head.invariant, tail)
 
 
 def _compose(t: QMatrix, head_dim: int, head_lattice: Lattice, tail):

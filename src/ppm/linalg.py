@@ -431,10 +431,12 @@ def lattice_index(big: Lattice, small: Lattice) -> int:
 
 
 def apply(a: QMatrix, lat: Lattice) -> Lattice:
-    """Image lattice a(L), canonicalized."""
-    if a.det() == 0:
-        raise Singular("cannot apply a singular matrix to a lattice")
-    return Lattice(lat.ctx, a * lat.basis)
+    """Image lattice a(L), canonicalized; it has full rank iff a is invertible."""
+    image = a * lat.basis
+    try:
+        return Lattice(lat.ctx, image)
+    except ValueError as exc:
+        raise Singular("cannot apply a singular matrix to a lattice") from exc
 
 
 def _local_snf(ctx: PContext, m: QMatrix, want_transform: bool):

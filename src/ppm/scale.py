@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, lattice_index, lattice_intersect, \
-    lattice_sum, newton_polygon
+from .linalg import Lattice, NewtonPolygon, QMatrix, apply, char_poly, lattice_index, \
+    lattice_intersect, newton_polygon
 from .qpcore import PContext
 
 
-def _polygon(a: QMatrix, ctx: PContext):
+def _polygon(a: QMatrix, ctx: PContext) -> NewtonPolygon:
     poly = char_poly(a)
     if poly[-1] == 0:  # the constant term is +-det(a)
         raise Singular("scale is only defined for invertible maps")
@@ -33,20 +34,19 @@ def scale_newton(a: QMatrix, ctx: PContext) -> int:
     return _polygon(a, ctx).negative_exponent()
 
 
-def default_iteration_cap(a: QMatrix, ctx: PContext) -> int:
+def default_iteration_cap(polygon: NewtonPolygon, n: int) -> int:
     """Generous over-approximation of the tidying length.
 
-    Reads the maximal vertical excursion off the Newton polygon: the
-    iteration needs at most about n * excursion steps to decouple the
-    expanding and contracting directions.
+    Reads the maximal vertical excursion off the Newton polygon of an
+    n x n map: the iteration needs at most about n * excursion steps to
+    decouple the expanding and contracting directions.
     """
-    poly = _polygon(a, ctx)
     excursion = 0
-    for val, mult in poly.slopes:
+    for val, mult in polygon.slopes:
         rise = abs(val * mult)
         assert rise.denominator == 1
         excursion = max(excursion, int(rise))
-    return a.n * (1 + excursion) * 4
+    return n * (1 + excursion) * 4
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, l0: Lattice | None = None,
     """Iterate L_k = L_{k-1} ^ alpha(L_{k-1}) until the index exponent
     reaches the Newton value; that lattice is a minimizer (tidy for alpha).
     """
-    target = scale_newton(a, ctx)
+    polygon = _polygon(a, ctx)
+    target = polygon.negative_exponent()
     if cap is None:
-        cap = default_iteration_cap(a, ctx)
+        cap = default_iteration_cap(polygon, a.n)
     lat = l0 if l0 is not None else Lattice.standard(ctx, a.n)
     trace = []
     for k in range(cap + 1):
@@ -94,20 +95,16 @@ def scale_tidy(a: QMatrix, ctx: PContext, l0: Lattice | None = None,
 def invariant_lattice(a: QMatrix, ctx: PContext, cap: int | None = None) -> Lattice | None:
     """A lattice L with alpha(L) = L, or None when no such lattice exists.
 
-    Exists exactly when s(alpha) = s(alpha^{-1}) = 1; it is then reached
-    by saturating the standard lattice under alpha and its inverse.
+    Exists exactly when s(alpha) = s(alpha^{-1}) = 1, i.e. alpha is type
+    R; it is then reached by saturating the standard lattice under alpha
+    and its inverse (dynamics.bounded_group) within cap growth rounds, 8n
+    by default.
     """
-    a_inv = a.inverse()  # raises Singular first
-    if scale_newton(a, ctx) != 0 or scale_newton(a_inv, ctx) != 0:
+    if not type_r_matrix(a, ctx):  # raises Singular first
         return None
-    if cap is None:
-        cap = default_iteration_cap(a, ctx) + default_iteration_cap(a_inv, ctx)
-    lat = Lattice.standard(ctx, a.n)
-    for _ in range(cap + 1):
-        grown = lattice_sum(lattice_sum(lat, apply(a, lat)), apply(a_inv, lat))
-        if grown == lat:
-            if apply(a, lat) != lat:
-                raise InternalInvariantViolation("saturated lattice is not invariant")
-            return lat
-        lat = grown
-    raise CapExceeded(f"invariant-lattice saturation ran past {cap} rounds")
+    cap = 8 * a.n if cap is None else cap
+    res = bounded_group(GeneratorSet.of(ctx, [a]), rounds_cap=cap + 1)  # + the confirming round
+    if res.verdict != BOUNDED:
+        raise CapExceeded(f"invariant-lattice saturation ran past {cap} rounds",
+                          res.divisor_trace)
+    return res.invariant

@@ -1,0 +1,16 @@
+"""Inputs shared by several test modules."""
+from fractions import Fraction as F
+
+import pytest
+
+from ppm.linalg import QMatrix
+
+
+@pytest.fixture
+def eight_cycle():
+    """g = c^-1 R c for the 8-cycle permutation matrix R and
+    c = diag(3^(-10 min(i, 8 - i))). g^8 = 1, so g is type R at p = 3, yet
+    each of the first saturation rounds grows the lattice by a factor 3^10."""
+    exps = [-10 * min(i, 8 - i) for i in range(8)]
+    return QMatrix([[F(3) ** (exps[j] - exps[i]) if j == (i + 1) % 8 else 0
+                     for j in range(8)] for i in range(8)])

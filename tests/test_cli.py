@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from ppm import matio
 from ppm.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
+from ppm.qpcore import PContext
 
 
 @pytest.fixture
@@ -58,6 +60,14 @@ def test_typer_and_flag_commands(gens_file, capsys):
     assert main(["flag", gens_file, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["dims"] == [0, 1, 2]
+
+
+def test_flag_of_the_eight_cycle_is_certified(eight_cycle, tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(
+        {"p": 3, "n": 8, "gens": [matio.matrix_doc(eight_cycle, PContext(3))["entries"]]}))
+    assert main(["flag", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dims"] == [0, 1, 8]
 
 
 def test_order_command(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
 from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, bounded_group, \
     common_fixed_space, ku_flag, type_r_matrix, type_r_witness_search
 from ppm.errors import NotTypeR, Singular
@@ -94,6 +95,20 @@ def test_unbounded_by_monotone_divisor_divergence():
     mins = [min(d) for d in res.divisor_trace]
     assert all(x >= y for x, y in zip(mins, mins[1:]))
     assert mins[-1] <= -8
+
+
+def test_divergence_evidence_never_overrules_a_type_r_generator(eight_cycle):
+    # the first four rounds look like divergence (minimum divisors -10 down
+    # to -40, past the threshold 32), but a type-R generator has an
+    # invariant lattice, so saturation must go on until it is reached
+    group = GeneratorSet.of(CTX3, [eight_cycle])
+    res = bounded_group(group)
+    assert res.verdict == BOUNDED
+    assert [min(d) for d in res.divisor_trace[:4]] == [-10, -20, -30, -40]
+    assert apply(eight_cycle, res.invariant) == res.invariant
+    assert ku_flag(group).dims == (0, 1, 8)
+    verdict = analyze(GroupSpec(FINITELY_GENERATED, CTX3, 8, group), 4)
+    assert "flag-certified" in [step for step, _ in verdict.justification]
 
 
 def test_flag_for_the_shear_pair():

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import ppm.dynamics
+import ppm.scale
+from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import Singular
-from ppm.linalg import Lattice, QMatrix, apply
+from ppm.linalg import Lattice, QMatrix, apply, char_poly
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton, scale_tidy
 
@@ -99,3 +103,57 @@ def test_invariant_lattice_is_exactly_invariant():
             assert apply(a, lat) == lat
             assert apply(a.inverse(), lat) == lat
     assert found >= 3  # unit-eigenvalue matrices do occur in the sample
+
+
+def test_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return char_poly(a)
+
+    # patch every namespace that could hold the char poly
+    monkeypatch.setattr(ppm.scale, "char_poly", counting)
+    monkeypatch.setattr(ppm.dynamics, "char_poly", counting)
+    for a in (QMatrix.diagonal([F(1, 3), 1]), QMatrix([[1, F(1, 3)], [0, 1]])):
+        for query in (scale_tidy, invariant_lattice):
+            calls.clear()
+            query(a, CTX3)
+            assert calls == [a]
+
+
+small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(3), F(1, 3), F(-2, 9), F(5, 2)])
+
+
+@st.composite
+def invertible(draw):
+    """Random invertible 2x2 or 3x3 matrices, and as many type-R ones:
+    c^-1 L U c with L, U integral unitriangular and c = diag(p^e), e in {-1, 0, 1}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        a = QMatrix(draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
+    else:
+        ints = st.integers(-3, 3)
+        lower = QMatrix([[1 if i == j else draw(ints) if j < i else 0 for j in range(n)]
+                         for i in range(n)])
+        upper = QMatrix([[1 if i == j else draw(ints) if j > i else 0 for j in range(n)]
+                         for i in range(n)])
+        c = QMatrix.diagonal([F(p) ** draw(st.integers(-1, 1)) for _ in range(n)])
+        a = c.inverse() * lower * upper * c
+    assume(a.det() != 0)
+    return a, PContext(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible())
+def test_invariant_lattice_is_the_saturation_of_one_type_r_generator(case):
+    a, ctx = case
+    lat = invariant_lattice(a, ctx)
+    if not type_r_matrix(a, ctx):
+        assert lat is None  # not saturated, which keeps the test time bounded
+        return
+    res = bounded_group(GeneratorSet.of(ctx, [a]))
+    assert res.verdict == BOUNDED
+    assert lat == res.invariant
