@@ -333,7 +333,7 @@ def _canonical_columns(ctx: PContext, cols):
 class Lattice:
     """Full-rank Z_p-lattice in canonical Hermite basis (columns)."""
 
-    __slots__ = ("ctx", "n", "basis")
+    __slots__ = ("ctx", "n", "basis", "_basis_inverse")
 
     def __init__(self, ctx: PContext, generators):
         """generators: QMatrix or iterable of column vectors spanning the lattice."""
@@ -400,6 +400,15 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         self._check(other)
         return all(self.contains_vector(col) for col in other.basis.columns())
+
+    def basis_inverse(self) -> QMatrix:
+        """basis^-1, computed on first use: a lattice that serves as the
+        reference of many comparisons is inverted once."""
+        try:
+            return self._basis_inverse
+        except AttributeError:
+            object.__setattr__(self, "_basis_inverse", self.basis.inverse())
+            return self._basis_inverse
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard pairing."""
@@ -496,7 +505,7 @@ def _local_snf(ctx: PContext, m: QMatrix, want_transform: bool):
 def elementary_divisors(ref: Lattice, lat: Lattice):
     """Exponents e_1 <= ... <= e_n aligning lat with diag(p^e) * ref."""
     ref._check(lat)
-    m = ref.basis.inverse() * lat.basis
+    m = ref.basis_inverse() * lat.basis
     exps, _ = _local_snf(ref.ctx, m, want_transform=False)
     return exps
 
@@ -505,7 +514,7 @@ def elementary_divisors_with_directions(ref: Lattice, lat: Lattice):
     """Divisors plus aligned directions: columns w_i of the returned
     matrix satisfy  lat = span_Zp { p^{e_i} w_i }  and  ref = span { w_i }."""
     ref._check(lat)
-    m = ref.basis.inverse() * lat.basis
+    m = ref.basis_inverse() * lat.basis
     exps, u = _local_snf(ref.ctx, m, want_transform=True)
     directions = ref.basis * u
     check = Lattice(ref.ctx, directions * QMatrix.diagonal(

@@ -12,6 +12,7 @@ unique, so are their results.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .errors import Singular
 
@@ -27,10 +28,8 @@ def identity_mat(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat, mod: int) -> Mat:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % mod for col in bt)
-                 for row in a)
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % mod for col in bt]) for row in a])
 
 
 def mat_add(a: Mat, b: Mat, mod: int) -> Mat:

@@ -211,6 +211,36 @@ def _affine_solutions(mat: list, rhs: list, p: int):
         yield y
 
 
+_SEED_CAP = 1_000_000  # mod-p candidates the seed search may enumerate
+
+
+def _mod_p_roots(t: modmat.Mat, k: int, p: int) -> list:
+    """Every X mod p with X^k = t, in lexicographic entry order.
+
+    Such an X commutes with X^k = t, so the search runs over the
+    centralizer {X : Xt = tX} only: the kernel of an n^2 x n^2 system
+    over F_p, usually p^n matrices instead of all p^(n^2). Raises
+    CapExceeded when the centralizer has more than _SEED_CAP elements.
+    """
+    n = len(t)
+    size = n * n
+    # (Xt - tX)[a][b] = sum_c X[a][c] t[c][b] - t[a][c] X[c][b]; X[a][c] is unknown a*n + c
+    system = [[0] * size for _ in range(size)]
+    for a in range(n):
+        for b in range(n):
+            row = system[a * n + b]
+            for c in range(n):
+                row[a * n + c] += t[c][b]
+                row[c * n + b] -= t[a][c]
+    dim = size - len(modmat.rref_mod(system, p)[1])
+    if p ** dim > _SEED_CAP:
+        raise CapExceeded(f"the centralizer of the target mod {p} has {p}^{dim} elements, "
+                          f"past the seed cap {_SEED_CAP}")
+    centralizer = (tuple(tuple(y[i * n:(i + 1) * n]) for i in range(n))
+                   for y in _affine_solutions(system, [0] * size, p))
+    return sorted(x for x in centralizer if modmat.mat_pow(x, k, p) == t)
+
+
 def finite_root(a, k: int, ctx: Optional[PContext] = None,
                 level: Optional[int] = None, node_cap: int = 200_000) -> RootResult:
     """k-th root of an invertible matrix mod p^level by exhaustive mod-p
@@ -219,15 +249,16 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
     All mod-p roots are explored before declaring NO_ROOT, because a lift
     can die along one branch and survive along another. Branches are
     visited in lexicographic candidate order, so the Found answer is
-    deterministic.
+    deterministic. The mod-p roots are drawn from the centralizer of the
+    target (``_mod_p_roots``); a centralizer past 10^6 elements raises
+    CapExceeded.
     """
     if k < 1:
         raise ValueError("k must be positive")
     a, ctx, level = _as_approx(a, ctx, level)
     p, n = ctx.p, a.n
     target_p = modmat.reduce_mat(a.entries, p)
-    seeds = [x for x in modmat.all_invertible_mats(n, p)
-             if modmat.mat_pow(x, k, p) == target_p]
+    seeds = _mod_p_roots(target_p, k, p)
     if not seeds:
         return RootResult.no_root(1)
     deepest_death = 1

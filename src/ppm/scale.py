@@ -78,7 +78,8 @@ def scale_tidy(a: QMatrix, ctx: PContext, l0: Lattice | None = None,
     trace = []
     for k in range(cap + 1):
         image = apply(a, lat)
-        e = lattice_index(image, lattice_intersect(image, lat))
+        meet = lattice_intersect(image, lat)
+        e = lattice_index(image, meet)
         trace.append((k, e))
         if e < target:
             raise InternalInvariantViolation(
@@ -87,7 +88,7 @@ def scale_tidy(a: QMatrix, ctx: PContext, l0: Lattice | None = None,
             raise InternalInvariantViolation("tidying index increased")
         if e == target:
             return ScaleReport(target, lat, tuple(trace), True)
-        lat = lattice_intersect(lat, image)
+        lat = meet
     raise CapExceeded(
         f"tidying did not certify the scale within {cap} steps", tuple(trace))
 

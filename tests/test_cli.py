@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ppm import matio
+from ppm import matio, modmat
 from ppm.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
 from ppm.qpcore import PContext
 
@@ -185,3 +185,30 @@ def test_coerced_numbers_are_input_errors(tmp_path, capsys):
     axb.write_text(json.dumps({"p": 5, "a": 1.5, "b": "1"}))
     assert main(["root", "--kind", "axb", "-k", "3", str(axb)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_finite_root_of_a_3x3_matrix_at_p5(tmp_path, capsys):
+    # the square of [[2, 1, 0], [0, 3, 1], [1, 0, 1]]; the seeds come from
+    # its centralizer mod 5, not from all 5^9 matrices
+    entries = [[4, 5, 1], [1, 9, 4], [3, 1, 1]]
+    path = tmp_path / "fin3.json"
+    path.write_text(json.dumps({"p": 5, "n": 3, "entries": [[str(x) for x in row]
+                                                            for row in entries]}))
+    assert main(["root", "--kind", "finite", "-k", "2", "--level", "3", str(path),
+                 "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    if payload["status"] == "found":
+        root = tuple(tuple(row) for row in payload["root"])
+        assert modmat.mat_pow(root, 2, 125) == modmat.reduce_mat(entries, 125)
+    else:
+        assert payload["status"] == "no_root"
+
+
+def test_finite_root_past_the_seed_cap_is_inconclusive(tmp_path, capsys):
+    # the centralizer of the identity is all of M_3(F_5): 5^9 > 10^6 seeds
+    path = tmp_path / "id3.json"
+    identity = [[str(int(i == j)) for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"p": 5, "n": 3, "entries": identity}))
+    assert main(["root", "--kind", "finite", "-k", "2", "--level", "2",
+                 str(path)]) == EXIT_INCONCLUSIVE
+    assert "inconclusive" in capsys.readouterr().err

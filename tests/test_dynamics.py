@@ -190,3 +190,18 @@ def test_flag_certificates_on_random_integral_groups():
             for i in range(flag.steps):
                 assert apply(flag.block(conj, i), flag.quotient_lattices[i]) \
                     == flag.quotient_lattices[i]
+
+
+def test_saturation_inverts_its_reference_lattice_once(eight_cycle, monkeypatch):
+    group = GeneratorSet.of(CTX3, [eight_cycle])  # inverts the generator
+    calls = []
+    inverse = QMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(QMatrix, "inverse", counting)
+    res = bounded_group(group)
+    assert res.verdict == BOUNDED and res.rounds == 5
+    assert len(calls) <= 1

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppm import modmat
 from ppm.errors import CapExceeded
-from ppm.oracle import enumerate_group, full_gl_generators, is_subgroup, \
-    lagrange_consistent, power_surjective, unit_group_generators, validate_f1
+from ppm.oracle import FiniteGroupTable, _verify_closure, enumerate_group, full_gl_generators, \
+    is_subgroup, lagrange_consistent, power_surjective, unit_group_generators, validate_f1
 from ppm.qpcore import PContext
 from ppm.steinitz import general_linear_order
 
@@ -121,3 +122,39 @@ def test_table_membership():
     assert ((4,),) in table
     assert ((13,),) in table  # reduced mod 9 first
     assert ((3,),) not in table
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of random invertible matrices mod p^m, at most 2x2: two
+    generators when their table has at most 1,000 elements, else the
+    cyclic table of the first."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]))
+    mod = p ** m
+    mats = st.lists(st.integers(0, mod - 1), min_size=n * n, max_size=n * n).map(
+        lambda e: tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n)))
+    invertible = mats.filter(lambda g: modmat.invertible_mod(g, p))
+    gens = draw(st.lists(invertible, min_size=1, max_size=2))
+    try:
+        return enumerate_group(gens, PContext(p), m, cap=1_000)
+    except CapExceeded:
+        return enumerate_group(gens[:1], PContext(p), m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=small_tables())
+def test_power_images_read_off_the_walks_are_the_powered_images(table):
+    mod = table.ctx.p ** table.level
+    for k in range(1, 41):
+        image = {modmat.mat_pow(x, k, mod) for x in table.elements}
+        img = power_surjective(table, k)
+        assert img.image_size == len(image)
+        assert img.surjective == (len(image) == table.order)
+
+
+def test_a_table_missing_an_inverse_fails_the_closure_check():
+    # SHEAR has order 3 mod 3: its inverse SHEAR^2 is not in {1, SHEAR}
+    table = FiniteGroupTable(CTX3, 1, 2, (modmat.identity_mat(2), SHEAR), (SHEAR,))
+    with pytest.raises(AssertionError):
+        _verify_closure(table)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppm import modmat
-from ppm.errors import BadDomain, NotUnipotent, PDividesK, PrecisionExhausted
+from ppm.errors import BadDomain, CapExceeded, NotUnipotent, PDividesK, PrecisionExhausted
 from ppm.linalg import QMatrix
 from ppm.qpcore import PContext
 from ppm.roots import FOUND, NO_ROOT, OBSTRUCTED, PadicApproxMatrix, axb_root, \
-    congruence_root, finite_root, nilpotent_log, unipotent_root
+    _mod_p_roots, congruence_root, finite_root, nilpotent_log, unipotent_root
 
 CTX3 = PContext(3)
 CTX5 = PContext(5)
@@ -169,6 +170,34 @@ class TestFiniteRoot:
                 finite_root(PadicApproxMatrix(ctx, 3, x), k).status == FOUND
                 for x in table.elements)
             assert all_found == (gcd(k, table.order) == 1)
+
+
+@st.composite
+def seed_targets(draw):
+    """(t, k, p): t invertible mod p, half of them k-th powers, for n <= 2
+    at p in {2, 3, 5} and n = 3 at p = 2."""
+    n, p = draw(st.sampled_from([(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2)]))
+    k = draw(st.integers(1, 12))
+    mats = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n).map(
+        lambda e: tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n)))
+    t = draw(mats.filter(lambda m: modmat.invertible_mod(m, p)))
+    if draw(st.booleans()):
+        t = modmat.mat_pow(t, k, p)
+    return t, k, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=seed_targets())
+def test_centralizer_seeds_are_the_brute_force_seeds_in_order(case):
+    t, k, p = case
+    brute = [x for x in modmat.all_invertible_mats(len(t), p) if modmat.mat_pow(x, k, p) == t]
+    assert _mod_p_roots(t, k, p) == brute
+
+
+def test_seed_search_past_the_cap_is_inconclusive():
+    # the centralizer of the identity is everything: 5^9 > 10^6 candidates
+    with pytest.raises(CapExceeded):
+        finite_root(PadicApproxMatrix(CTX5, 2, modmat.identity_mat(3)), 2)
 
 
 class TestAxb:

@@ -8,7 +8,7 @@ import ppm.dynamics
 import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, lattice_intersect
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton, scale_tidy
 
@@ -157,3 +157,18 @@ def test_invariant_lattice_is_the_saturation_of_one_type_r_generator(case):
     res = bounded_group(GeneratorSet.of(ctx, [a]))
     assert res.verdict == BOUNDED
     assert lat == res.invariant
+
+
+def test_one_intersection_per_tidy_step(monkeypatch):
+    calls = []
+
+    def counting(l1, l2):
+        calls.append((l1, l2))
+        return lattice_intersect(l1, l2)
+
+    monkeypatch.setattr(ppm.scale, "lattice_intersect", counting)
+    for a in (QMatrix([[1, F(1, 3)], [0, 1]]), QMatrix([[1, F(1, 27)], [0, 1]]),
+              QMatrix([[3, F(1, 9)], [0, 1]]), QMatrix.diagonal([F(1, 9), 1, 3])):
+        calls.clear()
+        report = scale_tidy(a, CTX3)
+        assert len(calls) == len(report.iteration_trace)
