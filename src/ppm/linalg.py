@@ -139,13 +139,13 @@ class QMatrix:
     def __pow__(self, e: int) -> "QMatrix":
         if e < 0:
             return self.inverse() ** (-e)
-        out = QMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return QMatrix.identity(self.n)
+        out = self
+        for bit in bin(e)[3:]:  # left-to-right square-and-multiply
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def _check(self, other):

@@ -92,9 +92,3 @@ def lattice_doc(lat: Lattice) -> dict:
     doc = matrix_doc(lat.basis, lat.ctx)
     doc["lattice"] = True
     return doc
-
-
-def dump(doc: dict, path: str):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

@@ -4,17 +4,18 @@ Matrices are tuples of tuples of ints, entries reduced mod p^m.
 
 Every Gaussian elimination over F_p goes through one kernel,
 ``rref_mod``: it returns the reduced row echelon form mod p, the pivot
-columns and the determinant mod p. Determinants, inverses mod p (the
-seed of the Newton lift in ``mat_inv``) and the affine solutions of
-``roots.finite_root`` are read off it; since the reduced form is
-unique, so are their results.
+columns and the determinant mod p. Determinants, inverses mod p and the
+affine solutions of ``roots.finite_root`` are read off it; since the
+reduced form is unique, so are their results. Every Newton lift from mod
+p to mod p^m, of ``mat_inv`` and of ``roots.congruence_root``, is one
+iteration, ``inverse_root``.
 """
 from __future__ import annotations
 
 from itertools import product
 from operator import mul
 
-from .errors import Singular
+from .errors import InternalInvariantViolation, Singular
 
 Mat = tuple
 
@@ -32,23 +33,18 @@ def mat_mul(a: Mat, b: Mat, mod: int) -> Mat:
     return tuple([tuple([sum(map(mul, row, col)) % mod for col in bt]) for row in a])
 
 
-def mat_add(a: Mat, b: Mat, mod: int) -> Mat:
-    return tuple(tuple((x + y) % mod for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scale(c: int, a: Mat, mod: int) -> Mat:
-    return tuple(tuple(c * x % mod for x in row) for row in a)
-
-
 def mat_pow(a: Mat, e: int, mod: int) -> Mat:
+    """a^e reduced mod `mod`, by left-to-right square-and-multiply: one
+    squaring per bit below the top one, one product per set bit there."""
     if e < 0:
         raise ValueError("negative exponent: invert explicitly with mat_inv")
-    out = identity_mat(len(a))
-    while e:
-        if e & 1:
+    if e == 0:
+        return identity_mat(len(a))
+    out = reduce_mat(a, mod)
+    for bit in bin(e)[3:]:
+        out = mat_mul(out, out, mod)
+        if bit == "1":
             out = mat_mul(out, a, mod)
-        a = mat_mul(a, a, mod)
-        e >>= 1
     return out
 
 
@@ -95,24 +91,37 @@ def invertible_mod(a: Mat, p: int) -> bool:
     return det_mod(a, p) != 0
 
 
-def mat_inv(a: Mat, p: int, m: int = 1) -> Mat:
-    """Inverse mod p^m: invert mod p by the kernel on [a | 1], then
-    Newton-lift, doubling precision."""
-    n = len(a)
+def inverse_root(a: Mat, k: int, y: Mat, p: int, m: int) -> Mat:
+    """Lift a seed y with a y^k = 1 mod p, k prime to p, to the y' = y
+    mod p with a y'^k = 1 mod p^m.
+
+    Newton's iteration for a^(-1/k): y <- y ((k + 1) - a y^k) / k. Its
+    residual 1 - a y^k squares on each step when k = 1, and for every k
+    when the seed commutes with a (1, say), so ceil(log2 m) steps reach
+    mod p^m. Raises InternalInvariantViolation when ceil(log2 m) + 1
+    residual checks do not reach it.
+    """
     mod = p ** m
+    one = identity_mat(len(a))
+    kinv = pow(k, -1, mod)
+    for _ in range((m - 1).bit_length() + 1):
+        ayk = mat_mul(a, mat_pow(y, k, mod), mod)
+        if ayk == one:
+            return reduce_mat(y, mod)
+        y = mat_mul(y, tuple(tuple(((k + 1) * (i == j) - x) * kinv % mod
+                                   for j, x in enumerate(row)) for i, row in enumerate(ayk)),
+                    mod)
+    raise InternalInvariantViolation(f"Newton lift did not reach mod {p}^{m}")
+
+
+def mat_inv(a: Mat, p: int, m: int = 1) -> Mat:
+    """Inverse mod p^m: invert mod p by the kernel on [a | 1], then lift
+    by ``inverse_root`` with k = 1."""
+    n = len(a)
     red, pivots, _ = rref_mod([(*row, *e) for row, e in zip(a, identity_mat(n))], p, width=n)
     if len(pivots) < n:
         raise Singular("matrix not invertible mod p")
-    x = tuple(tuple(row[n:]) for row in red)
-    prec = 1
-    while prec < m:
-        prec = min(2 * prec, m)
-        cur = p ** prec
-        ax = mat_mul(reduce_mat(a, cur), x, cur)
-        two_i = mat_scale(2, identity_mat(n), cur)
-        x = mat_mul(x, tuple(tuple((u - v) % cur for u, v in zip(r, s))
-                             for r, s in zip(two_i, ax)), cur)
-    return reduce_mat(x, mod)
+    return inverse_root(a, 1, tuple(tuple(row[n:]) for row in red), p, m)
 
 
 def all_invertible_mats(n: int, p: int, cap: int = 1_000_000):

@@ -138,9 +138,9 @@ def congruence_root(a, k: int, ctx: Optional[PContext] = None,
     """k-th root in the principal congruence subgroup 1 + pM (1 + 4M at
     p = 2), for gcd(k, p) = 1.
 
-    Level-by-level linear lifting: with X^k = A mod p^m and the ansatz
-    X' = X(1 + p^m Y), the defect equation reduces to k Y = D over F_p,
-    and k is invertible there. One pass per level, no search.
+    Newton lifting: y = A^(-1/k) by ``modmat.inverse_root`` from the seed
+    1, then X = A y^(k-1). Mod p^level the subgroup is a p-group, so this
+    root is its only k-th root of A there. No search.
     """
     a, ctx, level = _as_approx(a, ctx, level)
     p, n = ctx.p, a.n
@@ -154,19 +154,8 @@ def congruence_root(a, k: int, ctx: Optional[PContext] = None,
     if level <= base:
         return RootResult.found(PadicApproxMatrix(ctx, level, ident))
     mod = p ** level
-    kinv = pow(k, -1, p)
-    x = ident
-    for m in range(base, level):
-        xk = modmat.mat_pow(x, k, mod)
-        step = p ** m
-        if any(((ae - xe) % step) for ra, rx in zip(a.entries, xk)
-               for ae, xe in zip(ra, rx)):
-            raise InternalInvariantViolation("congruence lifting lost a level")
-        defect = tuple(tuple(((ae - xe) // step) % p for ae, xe in zip(ra, rx))
-                       for ra, rx in zip(a.entries, xk))
-        y = modmat.mat_scale(kinv, defect, p)
-        bump = modmat.mat_add(ident, modmat.mat_scale(step, y, mod), mod)
-        x = modmat.mat_mul(x, bump, mod)
+    y = modmat.inverse_root(a.entries, k, ident, p, level)
+    x = modmat.mat_mul(a.entries, modmat.mat_pow(y, k - 1, mod), mod)
     if modmat.mat_pow(x, k, mod) != a.entries:
         raise InternalInvariantViolation("congruence root failed the powering check")
     return RootResult.found(PadicApproxMatrix(ctx, level, x))
@@ -180,17 +169,10 @@ def _ad_sum_operator(x: modmat.Mat, k: int, p: int) -> list:
     for _ in range(k - 1):
         prev_inv, prev = powers[-1]
         powers.append((modmat.mat_mul(prev_inv, xinv, p), modmat.mat_mul(prev, x, p)))
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            basis = tuple(tuple(1 if (i, j) == (a, b) else 0 for j in range(n))
-                          for i in range(n))
-            total = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-            for xi, xp in powers:
-                total = modmat.mat_add(total, modmat.mat_mul(modmat.mat_mul(xi, basis, p), xp, p), p)
-            cols.append([total[i][j] for i in range(n) for j in range(n)])
-    # columns indexed by the basis matrix E_ab, flattened row-major
-    return [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
+    # entry (r, c) of X^{-i} E_ab X^i is X^{-i}[r][a] X^i[b][c]; rows and
+    # columns are indexed by (r, c) and by the basis matrix E_ab, row-major
+    return [[sum(xi[r][a] * xp[b][c] for xi, xp in powers) % p
+             for a in range(n) for b in range(n)] for r in range(n) for c in range(n)]
 
 
 def _affine_solutions(mat: list, rhs: list, p: int):
@@ -261,11 +243,15 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
     seeds = _mod_p_roots(target_p, k, p)
     if not seeds:
         return RootResult.no_root(1)
+    # every node x above a seed has x = seed and x^k = target_p mod p, so
+    # X^(-k) mod p is target_p^(-1) and the Ad-sum operator is the seed's
+    target_inv = modmat.mat_inv(target_p, p, 1)
+    operators = {}
     deepest_death = 1
     nodes = 0
-    stack = [(x, 1) for x in reversed(seeds)]
+    stack = [(x, 1, x) for x in reversed(seeds)]
     while stack:
-        x, m = stack.pop()
+        x, m, seed = stack.pop()
         nodes += 1
         if nodes > node_cap:
             raise CapExceeded(f"finite_root explored more than {node_cap} branches")
@@ -283,17 +269,18 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
             deepest_death = max(deepest_death, m)
             continue
         # solve X^k * T(Y) = D with T the Ad-power sum; fold X^{-k} into D
-        xk_inv_p = modmat.mat_inv(modmat.reduce_mat(xk, p), p, 1)
-        d_mat = modmat.mat_mul(xk_inv_p,
+        d_mat = modmat.mat_mul(target_inv,
                                tuple(tuple((d // step) % p for d in row) for row in diff), p)
-        op = _ad_sum_operator(x, k, p)
+        op = operators.get(seed)
+        if op is None:  # built when the seed is first expanded
+            op = operators[seed] = _ad_sum_operator(seed, k, p)
         rhs = [d_mat[i][j] for i in range(n) for j in range(n)]
         lifts = []
         for yvec in _affine_solutions(op, rhs, p):
             y = tuple(tuple(yvec[i * n + j] for j in range(n)) for i in range(n))
-            bump = modmat.mat_add(modmat.identity_mat(n), modmat.mat_scale(step, y, mod_next),
-                                  mod_next)
-            lifts.append((modmat.mat_mul(modmat.reduce_mat(x, mod_next), bump, mod_next), m + 1))
+            xy = modmat.mat_mul(x, y, p)  # X(1 + p^m Y) = X + p^m (XY mod p) mod p^(m+1)
+            lifts.append((tuple(tuple((u + step * v) % mod_next for u, v in zip(r, s))
+                                for r, s in zip(x, xy)), m + 1, seed))
         if not lifts:  # inconsistent: this branch dies here
             deepest_death = max(deepest_death, m)
         stack.extend(sorted(lifts, reverse=True))

@@ -110,6 +110,24 @@ def test_oracle_command(integral_gens_file, capsys):
     assert payload["order"] == 24  # SL(2, F_3)
 
 
+def test_oracle_command_computes_the_power_image_once(integral_gens_file, capsys,
+                                                      monkeypatch):
+    from ppm import oracle
+    real = oracle.power_surjective
+    calls = []
+
+    def counted(table, k):
+        calls.append(k)
+        return real(table, k)
+
+    monkeypatch.setattr("ppm.oracle.power_surjective", counted)
+    monkeypatch.setattr("ppm.cli.power_surjective", counted, raising=False)
+    assert main(["oracle", integral_gens_file, "--level", "1", "-k", "5"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"order": 24, "image_size": 24, "surjective": True, "f1_agree": True}
+    assert calls == [5]
+
+
 def test_analyze_catalog(capsys):
     assert main(["analyze", "AdditiveZp", "-p", "3", "-k", "3"]) == EXIT_OK
     assert "NotDense" in capsys.readouterr().out

@@ -200,6 +200,28 @@ def test_seed_search_past_the_cap_is_inconclusive():
         finite_root(PadicApproxMatrix(CTX5, 2, modmat.identity_mat(3)), 2)
 
 
+def test_finite_root_linearises_once_per_expanded_seed(monkeypatch):
+    from ppm import roots as roots_mod
+    calls = {"_ad_sum_operator": 0, "mat_inv": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(roots_mod, "_ad_sum_operator")
+    counted(modmat, "mat_inv")
+    a = ((1, 2), (3, 5))
+    ctx = PContext(3, 10)
+    res = finite_root(PadicApproxMatrix(ctx, 10, modmat.mat_pow(a, 2, 3 ** 10)), 2)
+    assert res.status == FOUND
+    # three seeds expanded, one operator each, plus the target's inverse mod p
+    assert calls == {"_ad_sum_operator": 3, "mat_inv": 4}
+
+
 class TestAxb:
     def test_trivial(self):
         r = axb_root((F(1), F(0)), 3, CTX5, 2)
