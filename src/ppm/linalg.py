@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import NotNested, Singular
 from .qpcore import PContext, as_fraction, format_scalar, vp_frac, vp_int
@@ -64,9 +67,13 @@ def rref(rows, width=None, det_only=False):
 
 
 class QMatrix:
-    """Immutable square matrix with exact rational entries."""
+    """Immutable square matrix with exact rational entries.
 
-    __slots__ = ("n", "rows")
+    rows holds the entries. Products, characteristic polynomials and
+    lattice images run on the integer view (d, d * rows), d the least
+    common denominator, computed on first use and kept (_int_view)."""
+
+    __slots__ = ("n", "rows", "_ints")
 
     def __init__(self, rows):
         rows = tuple(tuple(as_fraction(x) for x in row) for row in rows)
@@ -78,6 +85,35 @@ class QMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
+
+    @classmethod
+    def _from_ints(cls, d: int, nums) -> "QMatrix":
+        """The matrix nums / d, with its integer view already in place."""
+        g = d  # row by row: from n = 8 on, an argument tuple of n^2 entries is too
+        for row in nums:  # big for Python's small-object allocator and fragments the heap
+            g = gcd(g, *row)
+        if g != 1:
+            d, nums = d // g, [[x // g for x in row] for row in nums]
+        out = cls([[Fraction(x, d) for x in row] for row in nums])
+        object.__setattr__(out, "_ints", (d, *(x for row in nums for x in row)))
+        return out
+
+    def _int_view(self):
+        """(d, N): the least common denominator d of the entries and the
+        integer matrix N = d * self, as row tuples. Kept as one flat tuple
+        (d, entries...): a tuple per row would cost more memory than the
+        entries themselves."""
+        try:
+            flat = self._ints
+        except AttributeError:
+            d = 1
+            for row in self.rows:
+                d = lcm(d, *(x.denominator for x in row))
+            flat = (d, *(x.numerator if x.denominator == d else x.numerator * (d // x.denominator)
+                         for row in self.rows for x in row))
+            object.__setattr__(self, "_ints", flat)
+        n = self.n
+        return flat[0], [flat[1 + i * n:1 + (i + 1) * n] for i in range(n)]
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -95,12 +131,6 @@ class QMatrix:
 
     def column(self, j: int):
         return tuple(self.rows[i][j] for i in range(self.n))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.n)]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.rows)))
 
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.rows == other.rows
@@ -123,9 +153,11 @@ class QMatrix:
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             self._check(other)
-            cols = other.transpose().rows
-            return QMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                            for row in self.rows])
+            da, a = self._int_view()
+            db, b = other._int_view()
+            cols = tuple(zip(*b))
+            return QMatrix._from_ints(da * db, [[sum(map(mul, row, col)) for col in cols]
+                                                for row in a])
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             return QMatrix([[c * x for x in row] for row in self.rows])
@@ -169,29 +201,25 @@ class QMatrix:
 def char_poly(a: QMatrix):
     """Monic characteristic polynomial of a, coefficients leading-first.
 
-    Berkowitz's division-free recursion on leading principal minors, so
-    no intermediate denominators appear beyond the entries themselves.
+    Berkowitz's division-free recursion on leading principal minors, run
+    on the integer view a = N / d: the coefficient of x^(n-i) is that of
+    N divided by d^i.
     """
-    n = a.n
-    poly = [_ONE]  # char poly of the empty matrix
-    for k in range(1, n + 1):
-        akk = a.rows[k - 1][k - 1]
-        row = a.rows[k - 1][: k - 1]
-        col = [a.rows[i][k - 1] for i in range(k - 1)]
-        minor = [a.rows[i][: k - 1] for i in range(k - 1)]
+    d, m = a._int_view()
+    poly = [1]  # char poly of the empty matrix
+    for k in range(1, a.n + 1):
+        row = m[k - 1][: k - 1]
+        cur = [m[i][k - 1] for i in range(k - 1)]
+        minor = [m[i][: k - 1] for i in range(k - 1)]
         # Toeplitz column (1, -a_kk, -R C, -R M C, ..., -R M^{k-2} C)
-        toep = [_ONE, -akk]
-        cur = col
-        for _ in range(k - 1):
-            toep.append(-sum(r * c for r, c in zip(row, cur)))
-            cur = [sum(mr * c for mr, c in zip(m_row, cur)) for m_row in minor]
-        new = [_ZERO] * (k + 1)
-        for i in range(k + 1):
-            for j in range(len(poly)):
-                if 0 <= i - j < len(toep):
-                    new[i] += toep[i - j] * poly[j]
-        poly = new
-    return tuple(poly)
+        toep = [1, -m[k - 1][k - 1]]
+        for step in range(k - 1):
+            toep.append(-sum(map(mul, row, cur)))
+            if step < k - 2:
+                cur = [sum(map(mul, m_row, cur)) for m_row in minor]
+        poly = [sum(toep[i - j] * poly[j] for j in range(max(0, i - k), min(i, k - 1) + 1))
+                for i in range(k + 1)]
+    return tuple(Fraction(c, d ** i) for i, c in enumerate(poly))
 
 
 @dataclass(frozen=True)
@@ -265,88 +293,119 @@ def newton_polygon(poly, ctx: PContext) -> NewtonPolygon:
     return result
 
 
-def _canonical_rep(x: Fraction, e: int, p: int) -> Fraction:
-    """Canonical representative of x modulo p^e Z_(p).
+class _Span(NamedTuple):
+    """The Z_p-span of integer columns, scaled by p^-shift."""
 
-    The representative is m / p^t in [0, p^e) with m an integer; unit
-    parts of the denominator are cleared by modular inversion.
-    """
-    if vp_frac(x, p) >= e:  # zero too: its valuation is INFINITY
-        return _ZERO
-    t = vp_int(x.denominator, p)
-    mod = p ** (e + t)
-    unit = x.denominator // p ** t
-    m = x.numerator * pow(unit, -1, mod) % mod
-    return Fraction(m, p ** t)
+    shift: int
+    cols: Sequence[Sequence[int]]
 
 
-def _canonical_columns(ctx: PContext, cols):
-    """Hermite-canonicalize generator columns over Z_(p).
-
-    Returns the n canonical basis columns: upper triangular, diagonal
-    entries exact powers of p, entry (i, j) for i < j reduced to its
-    canonical representative mod p^{e_i}.
-    """
-    p = ctx.p
+def _integer_span(p: int, cols) -> _Span:
+    """Rational generator columns as a _Span of the same lattice: each
+    column is cleared of its denominator's part prime to p (a unit of
+    Z_(p)) and of its power of p, which the shift then restores."""
+    if not cols:
+        raise ValueError("no generators")
     n = len(cols[0])
-    work = [[as_fraction(x) for x in col] for col in cols]
-    if any(len(col) != n for col in work):
+    cols = [[as_fraction(x) for x in col] for col in cols]
+    if any(len(col) != n for col in cols):
         raise ValueError("ragged generator columns")
-    unassigned = list(range(len(work)))
-    assigned = [None] * n
+    dens = [lcm(*(x.denominator for x in col)) for col in cols]
+    shifts = [vp_int(d, p) for d in dens]
+    shift = max(shifts)
+    return _Span(shift, [[x.numerator * (d // x.denominator) * p ** (shift - t) for x in col]
+                         for col, d, t in zip(cols, dens, shifts)])
+
+
+def _hermite(p: int, span: _Span):
+    """Canonical (shift, H, exps) of the lattice p^-shift * span_Zp(cols).
+
+    H is given by its columns: integer, upper triangular, diagonal p^exps[i],
+    entry (i, j) reduced into [0, p^exps[i]), and shift is the least that
+    makes H integral. First the columns are triangularised bottom-up, the
+    pivot of least valuation first: a column y is replaced by a y - b x for
+    the pivot column x and coprime a, b with a prime to p, so the span over
+    Z_(p) is kept and no fraction appears. The diagonal then gives the
+    exponents e_i, and p^N Z_p^n lies in the lattice for N = sum(e_i) + 1,
+    so the rest runs mod p^N: HNF modulo a determinant (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, 2.4.2).
+    """
+    shift, cols = span
+    n = len(cols[0])
+    if n == 0:
+        raise ValueError("generators span no space")
+    work = [list(col) for col in cols]
+    basis, exps, units = [None] * n, [0] * n, [1] * n
     for i in range(n - 1, -1, -1):
-        best, bestv = None, None
-        for j in unassigned:
-            x = work[j][i]
-            if x != 0:
-                v = vp_frac(x, p)
+        best = bestv = None
+        for k, col in enumerate(work):
+            if col[i]:
+                v = vp_int(col[i], p)
                 if bestv is None or v < bestv:
-                    best, bestv = j, v
+                    best, bestv = k, v
+                    if v == 0:
+                        break
         if best is None:
             raise ValueError("generators do not span a full-rank lattice")
-        piv = work[best]
-        unassigned.remove(best)
-        scale = 1 / (piv[i] / Fraction(p) ** bestv)
-        for r in range(i + 1):
-            piv[r] *= scale
-        for j in unassigned:
-            x = work[j][i]
-            if x != 0:
-                q = x / piv[i]
-                for r in range(i + 1):
-                    work[j][r] -= q * piv[r]
-                work[j][i] = _ZERO
-        assigned[i] = piv
-    exps = [vp_frac(assigned[i][i], p) for i in range(n)]
-    for j in range(n):
-        col = assigned[j]
+        piv = work.pop(best)
+        pe = p ** bestv
+        u = piv[i] // pe
+        for col in work:
+            y = col[i]
+            if y:
+                g = gcd(u, y // pe)  # u y - (y / p^e) x, divided by g
+                a, b = u // g, y // pe // g
+                for r in range(i):
+                    col[r] = a * col[r] - b * piv[r]
+                col[i] = 0
+        basis[i], exps[i], units[i] = piv, bestv, u
+    mod = p ** (sum(exps) + 1)
+    pows = [p ** e for e in exps]
+    for i, col in enumerate(basis):  # unit pivots: the diagonal becomes p^e_i
+        w = pow(units[i], -1, mod)
+        col[:i] = [x * w % mod for x in col[:i]]
+        col[i] = pows[i]
+    for j, col in enumerate(basis):
         for i in range(j - 1, -1, -1):
-            rep = _canonical_rep(col[i], exps[i], p)
-            q = (col[i] - rep) / assigned[i][i]
-            if q != 0:
-                for r in range(i + 1):
-                    col[r] -= q * assigned[i][r]
-            col[i] = rep
-    return assigned
+            q, col[i] = divmod(col[i], pows[i])
+            if q:
+                above = basis[i]
+                for r in range(i):
+                    col[r] = (col[r] - q * above[r]) % mod
+    content = min(exps)  # the largest p^c dividing H
+    for j, col in enumerate(basis):
+        for x in col[:j]:
+            if content and x:
+                content = min(content, vp_int(x, p))
+    if content:
+        scale = p ** content
+        basis = [[x // scale for x in col] for col in basis]
+        exps = [e - content for e in exps]
+    return shift - content, tuple(map(tuple, basis)), tuple(exps)
 
 
 class Lattice:
-    """Full-rank Z_p-lattice in canonical Hermite basis (columns)."""
+    """Full-rank Z_p-lattice p^-shift * span(H) in Q_p^n (see _hermite):
+    the pair (shift, H) is canonical, so equality is a structural
+    comparison. ``basis`` is the same lattice basis in Fraction entries."""
 
-    __slots__ = ("ctx", "n", "basis", "_basis_inverse")
+    __slots__ = ("ctx", "n", "_shift", "_cols", "_exps", "_basis", "_adj")
 
     def __init__(self, ctx: PContext, generators):
-        """generators: QMatrix or iterable of column vectors spanning the lattice."""
-        if isinstance(generators, QMatrix):
-            cols = generators.columns()
+        """generators: QMatrix or iterable of column vectors spanning the
+        lattice (inside this module also a _Span)."""
+        p = ctx.p
+        if isinstance(generators, _Span):
+            span = generators
+        elif isinstance(generators, QMatrix):
+            d, nums = generators._int_view()  # the unit part of d spans nothing new
+            span = _Span(vp_int(d, p), list(zip(*nums)))
         else:
-            cols = [tuple(col) for col in generators]
-        if not cols:
-            raise ValueError("no generators")
-        canon = _canonical_columns(ctx, cols)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "n", len(canon))
-        object.__setattr__(self, "basis", QMatrix.from_columns(canon))
+            span = _integer_span(p, [tuple(col) for col in generators])
+        shift, cols, exps = _hermite(p, span)
+        for name, value in (("ctx", ctx), ("n", len(cols)), ("_shift", shift),
+                            ("_cols", cols), ("_exps", exps)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -360,75 +419,113 @@ class Lattice:
         p = Fraction(ctx.p)
         return cls(ctx, QMatrix.diagonal([p ** e for e in exps]))
 
+    @property
+    def basis(self) -> QMatrix:
+        """The canonical basis as columns of a Fraction matrix, built on first use."""
+        try:
+            return self._basis
+        except AttributeError:
+            s, p = self._shift, self.ctx.p
+            cols = ([[Fraction(x, p ** s) for x in col] for col in self._cols] if s > 0 else
+                    [[x * p ** -s for x in col] for col in self._cols])
+            object.__setattr__(self, "_basis", QMatrix.from_columns(cols))
+            return self._basis
+
     def diagonal_exponents(self):
-        p = self.ctx.p
-        return tuple(vp_frac(self.basis.rows[i][i], p) for i in range(self.n))
+        return tuple(e - self._shift for e in self._exps)
 
     def det_valuation(self) -> int:
-        return sum(self.diagonal_exponents())
+        return sum(self._exps) - self.n * self._shift
 
     def __eq__(self, other):
         return (isinstance(other, Lattice) and self.ctx.p == other.ctx.p
-                and self.basis == other.basis)
+                and self._shift == other._shift and self._cols == other._cols)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.basis))
+        return hash((self.ctx.p, self._shift, self._cols))
 
     def __repr__(self):
         return f"Lattice(p={self.ctx.p}, basis={self.basis!r})"
 
-    def coefficients_of(self, vec):
-        """Solve basis * c = vec by back substitution."""
-        vec = [as_fraction(x) for x in vec]
-        n = self.n
-        rows = self.basis.rows
-        coeff = [_ZERO] * n
-        for i in range(n - 1, -1, -1):
-            acc = vec[i]
-            for j in range(i + 1, n):
-                acc -= rows[i][j] * coeff[j]
-            coeff[i] = acc / rows[i][i]
-        return tuple(coeff)
+    def _span(self) -> _Span:
+        return _Span(self._shift, self._cols)
+
+    def _adjugate(self):
+        """Rows of adj(H) = p^sum(exps) * H^-1, whose columns are found by
+        integer back substitution; computed on first use."""
+        try:
+            return self._adj
+        except AttributeError:
+            n, h, p, exps = self.n, self._cols, self.ctx.p, self._exps
+            total = sum(exps)
+            pows = [p ** e for e in exps]
+            adj = []
+            for j in range(n):
+                x = [0] * n
+                x[j] = p ** (total - exps[j])
+                for i in range(j - 1, -1, -1):
+                    acc = sum(h[k][i] * x[k] for k in range(i + 1, j + 1))
+                    x[i] = -acc // pows[i]
+                adj.append(x)
+            object.__setattr__(self, "_adj", tuple(zip(*adj)))
+            return self._adj
+
+    def _covers(self, cols, k: int) -> bool:
+        """Whether adj(H) * col = 0 mod p^k for every integer column."""
+        if k <= 0:
+            return True
+        mod = self.ctx.p ** k
+        rows = self._adjugate()
+        return all(sum(map(mul, row, col)) % mod == 0 for col in cols for row in rows)
 
     def contains_vector(self, vec) -> bool:
-        p = self.ctx.p
-        return all(c.denominator % p != 0 for c in self.coefficients_of(vec))
+        vec = [as_fraction(x) for x in vec]
+        if len(vec) != self.n:
+            raise ValueError(f"vector of length {len(vec)} in a lattice of rank {self.n}")
+        d = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (d // x.denominator) for x in vec]
+        return self._covers([ints], sum(self._exps) - self._shift + vp_int(d, self.ctx.p))
 
     def __contains__(self, vec) -> bool:
         return self.contains_vector(vec)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         self._check(other)
-        return all(self.contains_vector(col) for col in other.basis.columns())
-
-    def basis_inverse(self) -> QMatrix:
-        """basis^-1, computed on first use: a lattice that serves as the
-        reference of many comparisons is inverted once."""
-        try:
-            return self._basis_inverse
-        except AttributeError:
-            object.__setattr__(self, "_basis_inverse", self.basis.inverse())
-            return self._basis_inverse
+        return self._covers(other._cols, sum(self._exps) + other._shift - self._shift)
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard pairing."""
-        return Lattice(self.ctx, self.basis.transpose().inverse())
+        return Lattice(self.ctx, _dual_span(self))
 
     def _check(self, other: "Lattice"):
         if self.ctx.p != other.ctx.p or self.n != other.n:
             raise ValueError("lattices live in different spaces")
 
 
+def _dual_span(lat: Lattice) -> _Span:
+    """The dual p^(shift - sum(exps)) * adj(H)^T, uncanonicalised."""
+    return _Span(sum(lat._exps) - lat._shift, lat._adjugate())
+
+
+def _joined(p: int, a: _Span, b: _Span) -> _Span:
+    """Both spans' columns, brought to the larger shift."""
+    shift = max(a.shift, b.shift)
+    return _Span(shift, [[x * p ** (shift - s) for x in col]
+                         for s, cols in (a, b) for col in cols])
+
+
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Smallest lattice containing both."""
     l1._check(l2)
-    return Lattice(l1.ctx, l1.basis.columns() + l2.basis.columns())
+    return Lattice(l1.ctx, _joined(l1.ctx.p, l1._span(), l2._span()))
 
 
 def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Largest lattice inside both, via duality: (L1 ^ L2)* = L1* + L2*."""
+    """Largest lattice inside both, (L1* + L2*)*, with each dual read off
+    an integer adjugate: no rational inversion."""
     l1._check(l2)
-    return lattice_sum(l1.dual(), l2.dual()).dual()
+    ctx = l1.ctx
+    return Lattice(ctx, _dual_span(Lattice(ctx, _joined(ctx.p, _dual_span(l1), _dual_span(l2)))))
 
 
 def lattice_index(big: Lattice, small: Lattice) -> int:
@@ -441,19 +538,22 @@ def lattice_index(big: Lattice, small: Lattice) -> int:
 
 def apply(a: QMatrix, lat: Lattice) -> Lattice:
     """Image lattice a(L), canonicalized; it has full rank iff a is invertible."""
-    image = a * lat.basis
+    if a.n != lat.n:
+        raise ValueError("dimension mismatch")
+    d, m = a._int_view()
+    image = [[sum(map(mul, row, col)) for row in m] for col in lat._cols]
     try:
-        return Lattice(lat.ctx, image)
+        return Lattice(lat.ctx, _Span(lat._shift + vp_int(d, lat.ctx.p), image))
     except ValueError as exc:
         raise Singular("cannot apply a singular matrix to a lattice") from exc
 
 
-def _local_snf(ctx: PContext, m: QMatrix, want_transform: bool):
-    """Smith form over Z_(p): returns exponents (ascending) and, when
-    requested, U with  m = U * diag(p^e) * (unimodular)."""
+def _local_snf(ctx: PContext, a, want_transform: bool):
+    """Smith form over Z_(p) of the square matrix a (rows, consumed):
+    returns exponents (ascending) and, when requested, U with
+    a = U * diag(p^e) * (unimodular)."""
     p = ctx.p
-    n = m.n
-    a = [list(row) for row in m.rows]
+    n = len(a)
     u = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)] if want_transform else None
     exps = []
     for t in range(n):
@@ -502,20 +602,26 @@ def _local_snf(ctx: PContext, m: QMatrix, want_transform: bool):
     return tuple(exps), (QMatrix(u) if want_transform else None)
 
 
+def _relative(ref: Lattice, lat: Lattice):
+    """(c, M) with ref.basis^-1 * lat.basis = p^c * M, M = adj(H_ref) * H_lat."""
+    ref._check(lat)
+    m = [[sum(map(mul, row, col)) for col in lat._cols] for row in ref._adjugate()]
+    return ref._shift - lat._shift - sum(ref._exps), m
+
+
 def elementary_divisors(ref: Lattice, lat: Lattice):
     """Exponents e_1 <= ... <= e_n aligning lat with diag(p^e) * ref."""
-    ref._check(lat)
-    m = ref.basis_inverse() * lat.basis
+    c, m = _relative(ref, lat)
     exps, _ = _local_snf(ref.ctx, m, want_transform=False)
-    return exps
+    return tuple(e + c for e in exps)
 
 
 def elementary_divisors_with_directions(ref: Lattice, lat: Lattice):
     """Divisors plus aligned directions: columns w_i of the returned
     matrix satisfy  lat = span_Zp { p^{e_i} w_i }  and  ref = span { w_i }."""
-    ref._check(lat)
-    m = ref.basis_inverse() * lat.basis
-    exps, u = _local_snf(ref.ctx, m, want_transform=True)
+    c, m = _relative(ref, lat)
+    exps, u = _local_snf(ref.ctx, m, want_transform=True)  # a scalar p^c leaves U alone
+    exps = tuple(e + c for e in exps)
     directions = ref.basis * u
     check = Lattice(ref.ctx, directions * QMatrix.diagonal(
         [Fraction(ref.ctx.p) ** e for e in exps]))

@@ -121,8 +121,12 @@ def unipotent_root(u: QMatrix, k: int) -> RootResult:
 
 def _as_approx(a, ctx: Optional[PContext], level: Optional[int]):
     """(a as a PadicApproxMatrix, its context, the working level). A
-    PadicApproxMatrix brings its own context and default level."""
+    PadicApproxMatrix brings its own context and default level, and
+    bounds the level: past it the entries are unknown."""
     if isinstance(a, PadicApproxMatrix):
+        if level is not None and level > a.level:
+            raise PrecisionExhausted(
+                f"matrix is known mod {a.ctx.p}^{a.level}, not mod {a.ctx.p}^{level}")
         return a, a.ctx, a.level if level is None else level
     if ctx is None:
         raise ValueError("need a PContext")

@@ -76,6 +76,37 @@ def test_scale_agreement_on_random_sample(scale_sample):
         assert elapsed < 60, f"took {elapsed:.1f}s"
 
 
+def test_scale_tidy_in_dimension_eight():
+    """a = c^-1 diag(u_i p^e_i) c on Q_3^8, with c = E diag(1, .., 1, 9, 27) E'
+    for products E, E' of integer elementary matrices: the standard lattice
+    is several tidying steps from the diagonal one. Both scales are known
+    from the construction: the sums of the negative and of the positive e_i."""
+    with _Criterion("scale-tidy-8x8 (both scales, tidy vs Newton, exact)"):
+        p, n = 3, 8
+        exps = [4, -1, 0, 5, -3, 1, 0, -5]
+        units = [1, 2, -1, 4, 5, -2, 7, 1]
+        rng = random.Random(SEED)
+
+        def elementary_product():
+            m = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                for r in range(n):
+                    m[r][j] += c * m[r][i]
+            return QMatrix(m)
+
+        c = elementary_product() * QMatrix.diagonal([1] * (n - 2) + [p ** 2, p ** 3]) \
+            * elementary_product()
+        a = c.inverse() * QMatrix.diagonal([F(u) * F(p) ** e for u, e in zip(units, exps)]) * c
+        ctx = PContext(p)
+        fwd, back = scale_tidy(a, ctx), scale_tidy(a.inverse(), ctx)
+        assert fwd.scale_exponent == sum(-e for e in exps if e < 0) == scale_newton(a, ctx)
+        assert back.scale_exponent == sum(e for e in exps if e > 0)
+        assert fwd.method_agreement and back.method_agreement
+        assert len(fwd.iteration_trace) > 2 and len(back.iteration_trace) > 2
+
+
 def test_scale_laws_on_the_same_sample(scale_sample):
     with _Criterion("scale-laws (power law n<=5 and determinant relation, exact)"):
         for ctx, mat in scale_sample:

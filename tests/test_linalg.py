@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ppm.errors import NotNested, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, \
     elementary_divisors_with_directions, lattice_index, lattice_intersect, lattice_sum, \
     newton_polygon
 from ppm.qpcore import PContext, vp
+from ppm.scale import scale_tidy
 
 CTX2, CTX3, CTX5 = PContext(2), PContext(3), PContext(5)
 
@@ -278,3 +280,237 @@ class TestElementaryDivisors:
         for _ in range(10):
             lat = Lattice(CTX5, _rand_matrix(rng, 2))
             assert sum(elementary_divisors(std, lat)) == lat.det_valuation()
+
+
+# -- lattice laws, property-based ---------------------------------------------
+
+LAWS = settings(max_examples=40, deadline=None)
+PRIMES = (2, 3, 5)
+
+
+def _scalars(p):
+    """Rationals whose denominators carry p, the prime 7, or both (p < 7)."""
+    return st.builds(F, st.integers(-p ** 4, p ** 4), st.sampled_from([1, p, p * p, 7, 7 * p]))
+
+
+def _invertible(draw, p, n):
+    rows = draw(st.lists(st.lists(_scalars(p), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    m = QMatrix(rows)
+    assume(m.det() != 0)
+    return m
+
+
+@st.composite
+def lattices(draw, count, max_n=4):
+    """(ctx, n, count lattices of Q_p^n), each spanned by an invertible matrix."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, max_n))
+    ctx = PContext(p)
+    return ctx, n, [Lattice(ctx, _invertible(draw, p, n)) for _ in range(count)]
+
+
+@st.composite
+def generator_sets(draw, max_n=5):
+    """(ctx, n, columns): 1 to 2n generator columns in Q^n, full rank or not."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, max_n))
+    cols = draw(st.lists(st.lists(_scalars(p), min_size=n, max_size=n),
+                         min_size=1, max_size=2 * n))
+    return PContext(p), n, cols
+
+
+@st.composite
+def matrices(draw, count, max_n=5):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, max_n))
+    return [QMatrix(draw(st.lists(st.lists(_scalars(p), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))) for _ in range(count)]
+
+
+@LAWS
+@given(lattices(3))
+def test_law_sum_and_intersection_form_a_lattice(case):
+    _, _, (l1, l2, l3) = case
+    assert lattice_sum(l1, l2) == lattice_sum(l2, l1)
+    assert lattice_intersect(l1, l2) == lattice_intersect(l2, l1)
+    assert lattice_sum(lattice_sum(l1, l2), l3) == lattice_sum(l1, lattice_sum(l2, l3))
+    assert lattice_intersect(lattice_intersect(l1, l2), l3) \
+        == lattice_intersect(l1, lattice_intersect(l2, l3))
+    assert lattice_sum(l1, lattice_intersect(l1, l2)) == l1  # absorption
+    assert lattice_intersect(l1, lattice_sum(l1, l2)) == l1
+
+
+@LAWS
+@given(lattices(2))
+def test_law_duality_is_an_involution_exchanging_sum_and_intersection(case):
+    _, _, (l1, l2) = case
+    assert l1.dual().dual() == l1
+    assert lattice_sum(l1, l2).dual() == lattice_intersect(l1.dual(), l2.dual())
+    assert lattice_intersect(l1, l2).dual() == lattice_sum(l1.dual(), l2.dual())
+
+
+@LAWS
+@given(generator_sets(max_n=4), st.randoms(use_true_random=False))
+def test_law_canonical_form_is_idempotent_and_order_free(case, rng):
+    ctx, _, cols = case
+    try:
+        lat = Lattice(ctx, cols)
+    except ValueError:
+        assume(False)
+    assert Lattice(ctx, lat.basis) == lat
+    assert Lattice(ctx, zip(*lat.basis.rows)).basis == lat.basis
+    shuffled = list(cols)
+    rng.shuffle(shuffled)
+    assert Lattice(ctx, shuffled) == lat
+    assert Lattice(ctx, shuffled + [tuple(2 * x for x in shuffled[0])]) == lat
+
+
+@LAWS
+@given(lattices(3))
+def test_law_index_is_additive_along_chains(case):
+    _, _, (l1, m2, m3) = case
+    l2 = lattice_intersect(l1, m2)
+    l3 = lattice_intersect(l2, m3)
+    assert lattice_index(l1, l3) == lattice_index(l1, l2) + lattice_index(l2, l3)
+    assert lattice_index(l1, l1) == 0
+
+
+@LAWS
+@given(st.data())
+def test_law_apply_respects_composition(data):
+    ctx, n, (lat,) = data.draw(lattices(1))
+    a, b = _invertible(data.draw, ctx.p, n), _invertible(data.draw, ctx.p, n)
+    assert apply(a * b, lat) == apply(a, apply(b, lat))
+    assert apply(QMatrix.identity(n), lat) == lat
+
+
+# -- the Fraction references the integer core must reproduce -------------------
+
+def _reference_rep(x, e, p):
+    """The element of Z[1/p] in [0, p^e) congruent to x modulo p^e Z_(p)."""
+    if x == 0 or vp(x, PContext(p)) >= e:
+        return F(0)
+    t = 0
+    while x.denominator % p ** (t + 1) == 0:
+        t += 1
+    mod = p ** (e + t)
+    unit = x.denominator // p ** t
+    return F(x.numerator * pow(unit, -1, mod) % mod, p ** t)
+
+
+def _reference_canonical_columns(p, cols):
+    """Hermite basis over Z_(p) in Fraction arithmetic: upper triangular,
+    diagonal p^e_i, entry (i, j) reduced to its representative mod p^e_i."""
+    ctx = PContext(p)
+    n = len(cols[0])
+    work = [[F(x) for x in col] for col in cols]
+    unassigned = list(range(len(work)))
+    assigned = [None] * n
+    for i in range(n - 1, -1, -1):
+        best, bestv = None, None
+        for j in unassigned:
+            if work[j][i] != 0:
+                v = vp(work[j][i], ctx)
+                if bestv is None or v < bestv:
+                    best, bestv = j, v
+        if best is None:
+            raise ValueError("generators do not span a full-rank lattice")
+        piv = work[best]
+        unassigned.remove(best)
+        scale = 1 / (piv[i] / F(p) ** bestv)
+        for r in range(i + 1):
+            piv[r] *= scale
+        for j in unassigned:
+            if work[j][i] != 0:
+                q = work[j][i] / piv[i]
+                for r in range(i + 1):
+                    work[j][r] -= q * piv[r]
+        assigned[i] = piv
+    exps = [vp(assigned[i][i], ctx) for i in range(n)]
+    for j in range(n):
+        col = assigned[j]
+        for i in range(j - 1, -1, -1):
+            rep = _reference_rep(col[i], exps[i], p)
+            q = (col[i] - rep) / assigned[i][i]
+            for r in range(i + 1):
+                col[r] -= q * assigned[i][r]
+            col[i] = rep
+    return QMatrix.from_columns(assigned)
+
+
+def _reference_char_poly(a):
+    """Berkowitz's recursion in Fraction arithmetic, leading-first."""
+    poly = [F(1)]
+    for k in range(1, a.n + 1):
+        row = a.rows[k - 1][: k - 1]
+        cur = [a.rows[i][k - 1] for i in range(k - 1)]
+        minor = [a.rows[i][: k - 1] for i in range(k - 1)]
+        toep = [F(1), -a.rows[k - 1][k - 1]]
+        for _ in range(k - 1):
+            toep.append(-sum(r * c for r, c in zip(row, cur)))
+            cur = [sum(m * c for m, c in zip(m_row, cur)) for m_row in minor]
+        poly = [sum(toep[i - j] * poly[j] for j in range(len(poly)) if 0 <= i - j < len(toep))
+                for i in range(k + 1)]
+    return tuple(poly)
+
+
+def _reference_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b.rows))
+                 for row in a.rows)
+
+
+@LAWS
+@given(generator_sets())
+def test_canonical_basis_equals_the_fraction_reference(case):
+    ctx, _, cols = case
+    try:
+        want = _reference_canonical_columns(ctx.p, cols)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Lattice(ctx, cols)
+        return
+    assert Lattice(ctx, cols).basis == want
+
+
+@LAWS
+@given(matrices(1))
+def test_char_poly_equals_the_fraction_reference(case):
+    (a,) = case
+    assert char_poly(a) == _reference_char_poly(a)
+
+
+@LAWS
+@given(matrices(2))
+def test_product_equals_the_fraction_reference(case):
+    a, b = case
+    assert (a * b).rows == _reference_product(a, b)
+    assert (a * b * a).rows == _reference_product(QMatrix(_reference_product(a, b)), a)
+
+
+def test_a_tidying_step_inverts_nothing(monkeypatch):
+    """One scale_tidy step (apply, intersect, index) runs on the integer
+    Hermite bases alone: no QMatrix.inverse and no Lattice.dual."""
+    calls = []
+
+    def counting(name, original):
+        def wrapper(self):
+            calls.append(name)
+            return original(self)
+        return wrapper
+
+    monkeypatch.setattr(QMatrix, "inverse", counting("inverse", QMatrix.inverse))
+    monkeypatch.setattr(Lattice, "dual", counting("dual", Lattice.dual))
+    a = QMatrix([[3, 1], [0, F(1, 3)]])
+    report = scale_tidy(a, CTX3)
+    assert report.iteration_trace == ((0, 1),)
+    assert calls == []
+
+
+def test_membership_rejects_vectors_of_the_wrong_length():
+    lat = Lattice.standard(CTX3, 2)
+    for vec in ([1, 0, F(1, 3)], [1], []):
+        with pytest.raises(ValueError):
+            lat.contains_vector(vec)
+        with pytest.raises(ValueError):
+            vec in lat  # noqa: B015

@@ -262,6 +262,16 @@ class TestAxb:
             axb_root((F(3), F(1)), 2, CTX3, 3)
 
 
+def test_a_root_level_above_the_known_level_is_not_claimed():
+    """6 is known only mod 5^2; its lifts have different cube roots mod 5^6,
+    so no root mod 5^6 may be returned."""
+    a = PadicApproxMatrix(CTX5, 2, ((6,),))
+    for solve in (congruence_root, finite_root):
+        with pytest.raises(PrecisionExhausted):
+            solve(a, 3, level=6)
+        assert solve(a, 3, level=2).status == FOUND
+
+
 def test_found_constructor_is_only_reachable_verified(monkeypatch):
     # powering checks guard every found path; forcing a wrong root must raise
     from ppm.errors import InternalInvariantViolation

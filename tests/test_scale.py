@@ -159,6 +159,16 @@ def test_invariant_lattice_is_the_saturation_of_one_type_r_generator(case):
     assert lat == res.invariant
 
 
+@settings(max_examples=40, deadline=None)
+@given(invertible(), st.integers(1, 4))
+def test_law_scale_of_a_power(case, k):
+    """s(a^k) = s(a)^k, and tidying certifies the scale of the power too."""
+    a, ctx = case
+    power = a ** k
+    assert scale_newton(power, ctx) == k * scale_newton(a, ctx)
+    assert scale_tidy(power, ctx).scale_exponent == k * scale_newton(a, ctx)
+
+
 def test_one_intersection_per_tidy_step(monkeypatch):
     calls = []
 
