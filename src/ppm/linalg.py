@@ -1,29 +1,67 @@
 """Exact matrices over Q, Newton polygons, and Z_p-lattice arithmetic.
 
-Every Gaussian elimination over Q goes through one kernel, ``rref``: it
+Every Gaussian elimination over Q goes through one fraction-free integer
+kernel, ``_eliminate``; ``rref`` is its interface on rational rows and
 returns the reduced row echelon form, the pivot columns and the
-determinant, all exact. Determinants, inverses, ranks and nullspaces
+determinant, all exact. Determinants, inverses (from a QMatrix's integer
+view, with no Fraction row), ranks and nullspaces
 (``dynamics.common_fixed_space``) are read off it; since the reduced
 form is unique, so are their results.
 
 A Lattice is a full-rank Z_p-lattice in Q_p^n, i.e. a compact open
-subgroup of the additive group, held in a canonical Hermite basis over
-the local ring Z_(p) so that equality is a structural comparison. All
-entries are exact rationals whose denominators are powers of p.
+subgroup of the additive group, held as p^-s times an integer Hermite
+basis, canonical so that equality is a structural comparison.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import NotNested, Singular
 from .qpcore import PContext, as_fraction, format_scalar, vp_frac, vp_int
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _cleared(vec):
+    """(d, d * vec) for a vector of exact scalars, d its least common denominator."""
+    vec = [as_fraction(x) for x in vec]
+    d = lcm(*(x.denominator for x in vec))
+    return d, [x.numerator * (d // x.denominator) for x in vec]
+
+
+def _eliminate(m, width, det_only=False):
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on integer
+    rows m, in place, with rref's pivot search. The pivot P_k in row r
+    turns every other row x into (P_k x - x_c top) / P_(k-1); entries stay
+    minors of the input, so the division is exact, and every pivot row
+    ends with the last pivot P at its pivot. Returns (pivot columns,
+    order, det): order[i] is the input row now at i; det, for a square
+    block, is P signed by the row swaps, or 0 without a full rank.
+    """
+    order = list(range(len(m)))
+    pivots, prev, sign, r = [], 1, 1, 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            if det_only:
+                return pivots, order, 0
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            order[r], order[piv] = order[piv], order[r]
+            sign = -sign
+        top, pc = m[r], m[r][c]
+        for i in range(r + 1 if det_only else 0, len(m)):
+            if i != r:  # left of c, only the rows above hold nonzero entries
+                row, f, lo = m[i], m[i][c], 0 if i < r else c
+                row[lo:] = [(pc * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+        pivots.append(c)
+        prev, r = pc, r + 1
+        if r == len(m):
+            break
+    return pivots, order, sign * prev if len(pivots) == width else 0
 
 
 def rref(rows, width=None, det_only=False):
@@ -35,120 +73,105 @@ def rref(rows, width=None, det_only=False):
     the determinant of the first width columns when they form a square
     block. det_only clears below each pivot only, leaving the rows in
     echelon form, and stops at the first column without a pivot (det 0).
+    Runs _eliminate on the rows cleared of their denominators (which keeps
+    the reduced form), then divides each row back by P (rows past the rank
+    also by their own scale) and det by the scales.
     """
-    m = [list(row) for row in rows]
+    scales, m = map(list, zip(*map(_cleared, rows)))
     width = len(m[0]) if width is None else width
-    pivots, det, r = [], _ONE, 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            if det_only:
-                return m, pivots, _ZERO
-            det = _ZERO
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        top = m[r]
-        det *= top[c]
-        inv = 1 / top[c]
-        if not det_only:  # a determinant needs no unit pivots
-            top[c:] = [x * inv for x in top[c:]]
-        for i in range(r + 1 if det_only else 0, len(m)):
-            row = m[i]
-            if row[c] != 0 and i != r:
-                f = row[c] * inv if det_only else row[c]
-                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots, det
+    pivots, order, det = _eliminate(m, width, det_only)
+    last, rank = (m[len(pivots) - 1][pivots[-1]] if pivots else 1), len(pivots)
+    reduced = [[Fraction(x, last if i < rank else last * scales[order[i]]) for x in row]
+               for i, row in enumerate(m)]
+    return reduced, pivots, Fraction(det, prod(scales))
 
 
 class QMatrix:
     """Immutable square matrix with exact rational entries.
 
-    rows holds the entries. Products, characteristic polynomials and
-    lattice images run on the integer view (d, d * rows), d the least
-    common denominator, computed on first use and kept (_int_view)."""
+    Stored once, as the integer view (d, N = d * self), d > 0 the least
+    common denominator, which equality and hashing compare and all
+    arithmetic runs on; ``rows``, as Fractions, is built on first read."""
 
-    __slots__ = ("n", "rows", "_ints")
+    __slots__ = ("n", "_ints", "_rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        rows = [_cleared(row) for row in rows]
         n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if n == 0 or any(len(r) != n for _, r in rows):
             raise ValueError("matrix must be square and non-empty")
+        d = lcm(*(s for s, _ in rows))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_ints", (d, *(x * (d // s) for s, r in rows for x in r)))
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
 
     @classmethod
     def _from_ints(cls, d: int, nums) -> "QMatrix":
-        """The matrix nums / d, with its integer view already in place."""
+        """The matrix nums / d (square integer rows, d != 0), in lowest terms."""
         g = d  # row by row: from n = 8 on, an argument tuple of n^2 entries is too
         for row in nums:  # big for Python's small-object allocator and fragments the heap
             g = gcd(g, *row)
-        if g != 1:
-            d, nums = d // g, [[x // g for x in row] for row in nums]
-        out = cls([[Fraction(x, d) for x in row] for row in nums])
-        object.__setattr__(out, "_ints", (d, *(x for row in nums for x in row)))
+        g = g if d > 0 else -g
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", len(nums))
+        object.__setattr__(out, "_ints", (d // g, *(x // g for row in nums for x in row)))
         return out
 
     def _int_view(self):
-        """(d, N): the least common denominator d of the entries and the
-        integer matrix N = d * self, as row tuples. Kept as one flat tuple
-        (d, entries...): a tuple per row would cost more memory than the
-        entries themselves."""
-        try:
-            flat = self._ints
-        except AttributeError:
-            d = 1
-            for row in self.rows:
-                d = lcm(d, *(x.denominator for x in row))
-            flat = (d, *(x.numerator if x.denominator == d else x.numerator * (d // x.denominator)
-                         for row in self.rows for x in row))
-            object.__setattr__(self, "_ints", flat)
-        n = self.n
+        """(d, N) as row tuples, kept flat in _ints as (d, entries...): a
+        tuple per row would cost more memory than the entries themselves."""
+        flat, n = self._ints, self.n
         return flat[0], [flat[1 + i * n:1 + (i + 1) * n] for i in range(n)]
+
+    @property
+    def rows(self):
+        """The entries as Fraction row tuples, built on first use."""
+        try:
+            return self._rows
+        except AttributeError:
+            d, m = self._int_view()
+            object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, d) for x in row)
+                                                    for row in m))
+            return self._rows
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._from_ints(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries) -> "QMatrix":
-        entries = [as_fraction(x) for x in entries]
-        n = len(entries)
-        return cls([[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls([[x if i == j else 0 for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
 
     @classmethod
     def from_columns(cls, cols) -> "QMatrix":
         return cls(list(zip(*cols)))
 
     def column(self, j: int):
-        return tuple(self.rows[i][j] for i in range(self.n))
+        return tuple(row[j] for row in self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return isinstance(other, QMatrix) and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._ints)
 
     def __repr__(self):
         body = "; ".join(" ".join(format_scalar(x) for x in row) for row in self.rows)
         return f"QMatrix[{body}]"
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         self._check(other)
-        return QMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        (da, a), (db, b) = self._int_view(), other._int_view()
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        return QMatrix._from_ints(d, [[x * fa + y * fb for x, y in zip(r, s)]
+                                      for r, s in zip(a, b)])
 
     def __sub__(self, other):
-        self._check(other)
-        return QMatrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -160,7 +183,9 @@ class QMatrix:
                                                 for row in a])
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
-            return QMatrix([[c * x for x in row] for row in self.rows])
+            d, a = self._int_view()
+            return QMatrix._from_ints(d * c.denominator,
+                                      [[c.numerator * x for x in row] for row in a])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -185,17 +210,20 @@ class QMatrix:
             raise ValueError("dimension mismatch")
 
     def det(self) -> Fraction:
-        """Determinant, read off the forward pass of the kernel."""
-        return rref(self.rows, det_only=True)[2]
+        """det(N) / d^n, det(N) read off the forward pass of the kernel."""
+        d, m = self._int_view()
+        return Fraction(_eliminate(list(map(list, m)), self.n, det_only=True)[2], d ** self.n)
 
     def inverse(self) -> "QMatrix":
-        """Inverse, read off the reduced form of [self | 1]."""
+        """Inverse, read off the reduced form of [N | d * 1]: its right
+        block is P * N^-1 * d = P * self^-1, P the last pivot."""
         n = self.n
-        m, pivots, _ = rref([row + tuple(_ONE if i == j else _ZERO for j in range(n))
-                             for i, row in enumerate(self.rows)], width=n)
+        d, m = self._int_view()
+        aug = [[*row, *(d if i == j else 0 for j in range(n))] for i, row in enumerate(m)]
+        pivots, _, _ = _eliminate(aug, n)
         if len(pivots) < n:
             raise Singular("matrix is singular")
-        return QMatrix([row[n:] for row in m])
+        return QMatrix._from_ints(aug[0][0], [row[n:] for row in aug])
 
 
 def char_poly(a: QMatrix):
@@ -307,14 +335,13 @@ def _integer_span(p: int, cols) -> _Span:
     if not cols:
         raise ValueError("no generators")
     n = len(cols[0])
-    cols = [[as_fraction(x) for x in col] for col in cols]
-    if any(len(col) != n for col in cols):
+    cleared = [_cleared(col) for col in cols]
+    if any(len(col) != n for _, col in cleared):
         raise ValueError("ragged generator columns")
-    dens = [lcm(*(x.denominator for x in col)) for col in cols]
-    shifts = [vp_int(d, p) for d in dens]
+    shifts = [vp_int(d, p) for d, _ in cleared]
     shift = max(shifts)
-    return _Span(shift, [[x.numerator * (d // x.denominator) * p ** (shift - t) for x in col]
-                         for col, d, t in zip(cols, dens, shifts)])
+    return _Span(shift, [[x * p ** (shift - t) for x in col]
+                         for (_, col), t in zip(cleared, shifts)])
 
 
 def _hermite(p: int, span: _Span):
@@ -426,9 +453,9 @@ class Lattice:
             return self._basis
         except AttributeError:
             s, p = self._shift, self.ctx.p
-            cols = ([[Fraction(x, p ** s) for x in col] for col in self._cols] if s > 0 else
-                    [[x * p ** -s for x in col] for col in self._cols])
-            object.__setattr__(self, "_basis", QMatrix.from_columns(cols))
+            up = p ** max(-s, 0)
+            object.__setattr__(self, "_basis", QMatrix._from_ints(
+                p ** max(s, 0), [[x * up for x in row] for row in zip(*self._cols)]))
             return self._basis
 
     def diagonal_exponents(self):
@@ -479,11 +506,9 @@ class Lattice:
         return all(sum(map(mul, row, col)) % mod == 0 for col in cols for row in rows)
 
     def contains_vector(self, vec) -> bool:
-        vec = [as_fraction(x) for x in vec]
-        if len(vec) != self.n:
-            raise ValueError(f"vector of length {len(vec)} in a lattice of rank {self.n}")
-        d = lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (d // x.denominator) for x in vec]
+        d, ints = _cleared(vec)
+        if len(ints) != self.n:
+            raise ValueError(f"vector of length {len(ints)} in a lattice of rank {self.n}")
         return self._covers([ints], sum(self._exps) - self._shift + vp_int(d, self.ctx.p))
 
     def __contains__(self, vec) -> bool:
@@ -554,7 +579,7 @@ def _local_snf(ctx: PContext, a, want_transform: bool):
     a = U * diag(p^e) * (unimodular)."""
     p = ctx.p
     n = len(a)
-    u = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)] if want_transform else None
+    u = [list(row) for row in QMatrix.identity(n).rows] if want_transform else None
     exps = []
     for t in range(n):
         best, bestv = None, None

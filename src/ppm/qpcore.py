@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: rationals, p-adic valuations, residue levels.
 
-All core computation happens on ``fractions.Fraction`` (always in lowest
-terms, positive denominator, exact). p-adic data enters only through the
-valuation ``vp`` and through residue reductions mod p^m, so no rounding
-can occur anywhere upstream.
+All computation is exact: scalars are ``fractions.Fraction`` or ints, never
+bools, and matrices and lattices are integers over a common denominator.
+p-adic data enters only through the valuation ``vp`` and through residue
+reductions mod p^m, so no rounding can occur anywhere upstream.
 """
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ class PContext:
 def as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 

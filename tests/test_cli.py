@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ppm
 from ppm import matio, modmat
 from ppm.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
 from ppm.qpcore import PContext
@@ -169,8 +171,12 @@ def test_prime_flag_consistency(matrix_file, capsys):
 
 
 def test_module_entry_point(matrix_file):
+    # the child imports the same ppm as this process, installed or not
+    src = os.path.dirname(os.path.dirname(ppm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-m", "ppm", "scale", matrix_file],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "3^1" in out.stdout
 

@@ -3,6 +3,7 @@ over F_p) and of what is read off them, checked against independent
 arithmetic: Berkowitz char polys, Leibniz minors and brute force."""
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ppm import modmat
 from ppm.dynamics import GeneratorSet, common_fixed_space, type_r_matrix
 from ppm.errors import Singular
-from ppm.linalg import QMatrix, char_poly, newton_polygon
+from ppm.linalg import QMatrix, char_poly, newton_polygon, rref
 from ppm.qpcore import PContext
 from ppm.roots import _affine_solutions
 
@@ -56,6 +57,129 @@ def minor_rank(rows):
 
 
 # ---- over Q ---------------------------------------------------------------
+
+def reference_rref(rows, width=None):
+    """Gauss-Jordan in Fractions, each pivot row scaled to a unit pivot:
+    an independent reference for the fraction-free kernel."""
+    m = [[F(x) for x in row] for row in rows]
+    width = len(m[0]) if width is None else width
+    pivots, det, r = [], F(1), 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            det = F(0)
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        top = m[r]
+        det *= top[c]
+        top[c:] = [x / top[c] for x in top[c:]]
+        for i, row in enumerate(m):
+            if i != r and row[c] != 0:
+                f = row[c]
+                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, det
+
+
+wide_entries = st.one_of(entries, st.integers(-9, 9),
+                         st.fractions(min_value=-40, max_value=40, max_denominator=30))
+
+
+@st.composite
+def systems(draw):
+    """Rows with the pivot search limited to the first width columns; some
+    rows are combinations of others, so the rank is often deficient."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(wide_entries, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(wide_entries)
+        rows.insert(draw(st.integers(0, len(rows))), [x + c * y for x, y in zip(a, b)])
+    return rows, draw(st.integers(1, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=systems())
+def test_rref_matches_the_fraction_reference(system):
+    rows, width = system
+    got, pivots, det = rref(rows, width)
+    want, want_pivots, want_det = reference_rref(rows, width)
+    assert (got, pivots) == (want, want_pivots)
+    assert all(type(x) is F for row in got for x in row)
+    if len(rows) == width:  # det is defined for a square block only
+        assert det == want_det and type(det) is F
+        assert rref(rows, width, det_only=True)[2] == want_det
+
+
+def test_rref_is_exact_on_integer_rows():
+    # a pivot inverted as 1 / int would give floats
+    got, pivots, det = rref([[2, 1], [1, 1]])
+    assert (got, pivots, det) == ([[1, 0], [0, 1]], [0, 1], 1)
+    assert type(det) is F and all(type(x) is F for row in got for x in row)
+    assert type(QMatrix([[2, 1], [1, 1]]).det()) is F
+
+
+def test_rows_past_the_rank_keep_their_augmented_part():
+    # inconsistent: 2 (x + 2y) = 6, yet the second equation asks for 7
+    got, pivots, det = rref([[1, 2, 3], [2, 4, 7]], width=2)
+    assert (got, pivots, det) == ([[1, 2, 3], [0, 0, 1]], [0], 0)
+    got, pivots, _ = rref([[F(1, 3), F(2, 3), 1], [F(1, 2), 1, F(5, 2)]], width=2)
+    assert (got, pivots) == ([[1, 2, 3], [0, 0, 1]], [0])
+
+
+def test_no_fraction_arithmetic_in_elimination(monkeypatch):
+    a = QMatrix([[F(1, 3), 2, 0], [F(-5, 2), 1, F(1, 7)], [4, F(2, 9), 1]])
+    rows = [list(row) for row in a.rows]
+    want = reference_rref(rows), a.det(), a.inverse()
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the kernel")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(F, name, refuse)
+    fresh = QMatrix(rows)
+    assert (rref(rows), fresh.det(), fresh.inverse()) == want
+
+
+@st.composite
+def matrix_routes(draw):
+    """One Fraction matrix, reached by every way of building a QMatrix."""
+    n = draw(st.integers(1, 3))
+    rows = draw(square(n, wide_entries))
+    want = tuple(tuple(rows[i][j] for j in range(n)) for i in range(n))
+    ident = QMatrix.identity(n)
+    a = QMatrix(rows)
+    d = lcm(*(x.denominator for row in rows for x in row)) * draw(st.integers(1, 4))
+    k = draw(st.integers(-5, 5).filter(bool))  # k < 0: a negative denominator
+    routes = [a, QMatrix([[F(2 * x.numerator, 2 * x.denominator) for x in row]
+                          for row in rows]),
+              QMatrix._from_ints(k * d, [[k * int(x * d) for x in row] for row in rows]),
+              a * ident, ident * a, a * 1, (a + a) * F(1, 2), a - QMatrix([[0] * n] * n)]
+    if a.det() != 0:
+        routes += [a.inverse().inverse(), a * a.inverse() * a]
+    return want, routes
+
+
+@SETTINGS
+@given(case=matrix_routes(), other=st.integers(1, 3).flatmap(square).map(QMatrix))
+def test_qmatrix_equality_and_hash_follow_the_fraction_rows(case, other):
+    want, routes = case
+    for m in routes:
+        assert m.rows == want
+        assert m == routes[0] and hash(m) == hash(routes[0])
+        assert (m == other) == (m.rows == other.rows)
+    n = len(want)
+    for ident in (QMatrix([[int(i == j) for j in range(n)] for i in range(n)]),
+                  QMatrix._from_ints(-3, [[-3 * (i == j) for j in range(n)] for i in range(n)]),
+                  routes[0] * routes[0].inverse() if routes[0].det() else QMatrix.identity(n)):
+        assert ident == QMatrix.identity(n) and hash(ident) == hash(QMatrix.identity(n))
 
 @SETTINGS
 @given(a=qmatrices)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ppm.errors import NotPIntegral
-from ppm.qpcore import INFINITY, PContext, ResidueScalar, format_scalar, is_prime, \
-    parse_scalar, reduce_mod, vp
+from ppm.linalg import Lattice, QMatrix
+from ppm.qpcore import INFINITY, PContext, ResidueScalar, as_fraction, format_scalar, \
+    is_prime, parse_scalar, reduce_mod, vp
 
 CTX3 = PContext(3)
 CTX5 = PContext(5)
@@ -90,6 +91,17 @@ def test_scalar_parse_and_format_roundtrip():
         parse_scalar("a/b")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
+
+
+def test_booleans_are_not_scalars():
+    # bool is a subclass of int, so QMatrix([[True]]) could pass as [[1]]
+    for build in (lambda x: as_fraction(x), lambda x: QMatrix([[x]]),
+                  lambda x: QMatrix.diagonal([1, x]), lambda x: Lattice(CTX3, [[x]]),
+                  lambda x: QMatrix([[1]]) * x):
+        for x in (True, False):
+            with pytest.raises(TypeError):
+                build(x)
+    assert as_fraction(1) == 1 and QMatrix([[0]]).rows == ((0,),)
 
 
 def test_parse_scalar_rejects_decimals_and_exponents():
