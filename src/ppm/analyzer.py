@@ -2,11 +2,13 @@
 and user-supplied finitely generated matrix groups.
 
 The catalog carries its structural facts (which quotient is compact and
-its pro-order, which radical is a split unipotent group) as data: they
-are classical, and computing them from defining equations is out of
-scope. For these groups density and surjectivity of x -> x^k coincide,
-and the verdict cites that equivalence explicitly. Finitely generated
-inputs only ever receive necessary-condition verdicts.
+its pro-order, which radical is a split unipotent group) as data, one
+table row per variant: they are classical, and computing them from
+defining equations is out of scope. A compact part of pro-order N makes
+x -> x^k onto exactly when k is prime to N; both kinds with a compact
+part get that verdict from one helper. For these groups density and
+surjectivity coincide, and the verdict cites that equivalence explicitly.
+Finitely generated inputs only ever receive necessary-condition verdicts.
 """
 from __future__ import annotations
 
@@ -34,15 +36,26 @@ BOREL_QP = "Borel_Qp"
 AXB_ZP_UNITS = "AxB_ZpUnits"
 FINITELY_GENERATED = "FinitelyGenerated"
 
-_CATALOG = (ADDITIVE_QP, ADDITIVE_ZP, UNITS_ZP, GL_ZP, GL_QP, UPPER_UNIPOTENT_QP,
-            BOREL_QP, AXB_ZP_UNITS, FINITELY_GENERATED)
-
 # structural kinds of the quasi-reductive quotient
 _SPLIT_UNIPOTENT = "split_unipotent"          # the whole group is one
 _COMPACT = "compact"                          # group itself compact, pro-order known
 _COMPACT_EXTENSION = "compact_over_unipotent"  # compact quotient over a split radical
 _NONCOMPACT = "noncompact_quasireductive"     # quotient keeps a split torus
-_DYNAMIC = "dynamic"
+
+# variant -> (description at {p} and {n}, structural kind, ord_catalog name
+# of the compact part or None, whether it takes a dimension)
+_CATALOG = {
+    ADDITIVE_QP: ("(Q_{p}^{n}, +)", _SPLIT_UNIPOTENT, None, True),
+    ADDITIVE_ZP: ("(Z_{p}, +)", _COMPACT, "AdditiveZp", False),
+    UNITS_ZP: ("Z_{p}^*", _COMPACT, "UnitsZp", False),
+    GL_ZP: ("GL({n}, Z_{p})", _COMPACT, "GLn_Zp", True),
+    GL_QP: ("GL({n}, Q_{p})", _NONCOMPACT, None, True),
+    UPPER_UNIPOTENT_QP: ("upper unitriangular {n}x{n} over Q_{p}", _SPLIT_UNIPOTENT, None,
+                         True),
+    BOREL_QP: ("upper triangular invertible {n}x{n} over Q_{p}", _NONCOMPACT, None, True),
+    AXB_ZP_UNITS: ("Z_{p}^* acting on the line (ax+b, a unit)", _COMPACT_EXTENSION,
+                   "UnitsZp", False),
+}
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,7 @@ class GroupSpec:
     gens: Optional[GeneratorSet] = None
 
     def __post_init__(self):
-        if self.variant not in _CATALOG:
+        if self.variant not in _CATALOG and self.variant != FINITELY_GENERATED:
             raise InputError(f"unknown group variant {self.variant!r}")
         if self.n < 1:
             raise InputError("dimension must be positive")
@@ -65,37 +78,14 @@ class GroupSpec:
             raise InputError("generator dimension disagrees with the group dimension")
 
     def describe(self) -> str:
-        p = self.ctx.p
-        names = {
-            ADDITIVE_QP: f"(Q_{p}^{self.n}, +)",
-            ADDITIVE_ZP: f"(Z_{p}, +)",
-            UNITS_ZP: f"Z_{p}^*",
-            GL_ZP: f"GL({self.n}, Z_{p})",
-            GL_QP: f"GL({self.n}, Q_{p})",
-            UPPER_UNIPOTENT_QP: f"upper unitriangular {self.n}x{self.n} over Q_{p}",
-            BOREL_QP: f"upper triangular invertible {self.n}x{self.n} over Q_{p}",
-            AXB_ZP_UNITS: f"Z_{p}^* acting on the line (ax+b, a unit)",
-            FINITELY_GENERATED: f"matrix group on {len(self.gens.gens)} generators"
-            if self.gens else "matrix group",
-        }
-        return names[self.variant]
+        if self.gens is not None:
+            return f"matrix group on {len(self.gens.gens)} generators"
+        return _CATALOG[self.variant][0].format(p=self.ctx.p, n=self.n)
 
     def structure(self):
-        """(kind, pro-order of the compact part or None)."""
-        p = self.ctx.p
-        if self.variant in (ADDITIVE_QP, UPPER_UNIPOTENT_QP):
-            return _SPLIT_UNIPOTENT, None
-        if self.variant == ADDITIVE_ZP:
-            return _COMPACT, ord_catalog("AdditiveZp", p)
-        if self.variant == UNITS_ZP:
-            return _COMPACT, ord_catalog("UnitsZp", p)
-        if self.variant == GL_ZP:
-            return _COMPACT, ord_catalog("GLn_Zp", p, n=self.n)
-        if self.variant == AXB_ZP_UNITS:
-            return _COMPACT_EXTENSION, ord_catalog("UnitsZp", p)
-        if self.variant in (GL_QP, BOREL_QP):
-            return _NONCOMPACT, None
-        return _DYNAMIC, None
+        """(kind, pro-order of the compact part or None) of a catalog group."""
+        _, kind, compact, _ = _CATALOG[self.variant]
+        return kind, None if compact is None else ord_catalog(compact, self.ctx.p, n=self.n)
 
 
 SURJECTIVE_AND_DENSE = "SurjectiveAndDense"
@@ -143,9 +133,13 @@ def analyze(spec: GroupSpec, k: int, spot_checks: int = 0,
             "but not computed")
     if k < 1:
         raise InputError("k must be a positive integer")
+    if spot_checks < 0:
+        raise InputError("the spot-check count must be >= 0")
     if k == 1:
         return _verdict(k, SURJECTIVE_AND_DENSE,
                         [("identity-power", "k = 1 is the identity map")])
+    if spec.variant == FINITELY_GENERATED:
+        return _finitely_generated_verdict(spec, k)
     kind, order = spec.structure()
     rng = rng or random.Random(0)
     if kind == _SPLIT_UNIPOTENT:
@@ -155,51 +149,47 @@ def analyze(spec: GroupSpec, k: int, spot_checks: int = 0,
              f"{spec.describe()} is split unipotent over a characteristic-0 field, "
              "so k-th roots exist and are unique for every k")], cert)
     if kind == _COMPACT:
-        return _compact_verdict(spec, k, order, spot_checks, rng)
+        return _coprimality_verdict(
+            k, order,
+            [("compact-group-order", f"{spec.describe()} is compact with pro-order {order}")],
+            "k = {k} shares a prime with the order: {shares}", {"order": str(order)},
+            lambda: _compact_spot_roots(spec, k, spot_checks, rng))
     if kind == _COMPACT_EXTENSION:
-        ok = profinite_surjective(k, order)
-        steps = [
-            ("split-unipotent-radical",
-             "the translation part is a split unipotent normal subgroup; "
-             "the quotient by it is compact"),
-            ("compact-quotient-order", f"quotient pro-order {order}"),
-            ("coprimality", f"gcd-free({k}, {order}) = {ok}"),
-        ]
-        if ok:
-            steps.append(("congruence-lift",
-                          "surjectivity on the compact quotient lifts through the "
-                          "nilpotent normal subgroup level by level"))
-            cert = _axb_spot_roots(spec, k, spot_checks, rng)
-            return _verdict(k, SURJECTIVE_AND_DENSE, steps, cert)
-        return _verdict(k, NOT_DENSE, steps)
-    if kind == _NONCOMPACT:
-        return _verdict(k, NOT_DENSE, [
-            ("noncompact-quasireductive-quotient",
-             f"{spec.describe()} has a noncompact quotient with trivial split "
-             "unipotent radical, so the power image cannot be dense for k > 1"),
-            ("split-torus-obstruction",
-             "a split torus survives in the quotient and its k-th powers are "
-             "a proper closed subgroup"),
-        ])
-    return _finitely_generated_verdict(spec, k)
+        return _coprimality_verdict(
+            k, order,
+            [("split-unipotent-radical",
+              "the translation part is a split unipotent normal subgroup; "
+              "the quotient by it is compact"),
+             ("compact-quotient-order", f"quotient pro-order {order}")],
+            "gcd-free({k}, {order}) = {ok}", {},
+            lambda: _axb_spot_roots(spec, k, spot_checks, rng),
+            lift=[("congruence-lift",
+                   "surjectivity on the compact quotient lifts through the "
+                   "nilpotent normal subgroup level by level")])
+    return _verdict(k, NOT_DENSE, [
+        ("noncompact-quasireductive-quotient",
+         f"{spec.describe()} has a noncompact quotient with trivial split "
+         "unipotent radical, so the power image cannot be dense for k > 1"),
+        ("split-torus-obstruction",
+         "a split torus survives in the quotient and its k-th powers are "
+         "a proper closed subgroup"),
+    ])
 
 
-def _compact_verdict(spec, k, order, spot_checks, rng):
+def _coprimality_verdict(k, order, steps, detail, cert, spot_roots, lift=()):
+    """The criterion for a compact group, or a compact quotient over a split
+    unipotent radical, of this pro-order: x -> x^k is onto exactly when k is
+    prime to it. steps lead up to the coprimality step, whose detail is
+    formatted with k, order, ok and shares (= not ok); when onto, the lift
+    steps follow and spot_roots() joins cert."""
     ok = profinite_surjective(k, order)
-    steps = [
-        ("compact-group-order", f"{spec.describe()} is compact with pro-order {order}"),
-        ("coprimality", f"k = {k} shares a prime with the order: {not ok}"),
-    ]
-    cert = {"order": str(order)}
-    if ok:
-        cert.update(_compact_spot_roots(spec, k, spot_checks, rng))
-        return _verdict(k, SURJECTIVE_AND_DENSE, steps, cert)
-    return _verdict(k, NOT_DENSE, steps, cert)
+    steps = [*steps, ("coprimality", detail.format(k=k, order=order, ok=ok, shares=not ok))]
+    if not ok:
+        return _verdict(k, NOT_DENSE, steps, cert)
+    return _verdict(k, SURJECTIVE_AND_DENSE, steps + list(lift), {**cert, **spot_roots()})
 
 
 def _finitely_generated_verdict(spec, k):
-    if spec.ctx is None or spec.gens is None:
-        raise InputError("finitely generated analysis needs generators")
     try:
         flag = ku_flag(spec.gens)  # runs the type-R word search first
     except NotTypeR as exc:
@@ -246,7 +236,6 @@ def _compact_spot_roots(spec, k, count, rng):
     ctx = spec.ctx
     level = ctx.precision_n
     mod = ctx.p ** level
-    found = 0
     for _ in range(count):
         if spec.variant == ADDITIVE_ZP:
             # the k-th "power" is k * x; the witness root must lie in the
@@ -255,7 +244,6 @@ def _compact_spot_roots(spec, k, count, rng):
             root = b * pow(k, -1, mod) % mod
             if k * root % mod != b:
                 raise InternalInvariantViolation("additive spot root failed to verify")
-            found += 1
             continue
         if spec.variant == UNITS_ZP:
             target = ((_random_unit(ctx.p, level, rng),),)
@@ -265,8 +253,7 @@ def _compact_spot_roots(spec, k, count, rng):
         if res.status != FOUND:
             raise InternalInvariantViolation(
                 f"verdict promised a k-th root of {target} mod {ctx.p}^{level}")
-        found += 1
-    return {"spot_roots": found, "spot_level": level}
+    return {"spot_roots": count, "spot_level": level}
 
 
 def _random_unit(p, level, rng):
@@ -364,11 +351,10 @@ _ALIASES = {"AxB": AXB_ZP_UNITS, "Zp": ADDITIVE_ZP, "Qp": ADDITIVE_QP}
 def is_catalog_name(text: str) -> bool:
     """True when text names a catalog group, valid dimension or not."""
     name = text.strip().split("(", 1)[0]
-    name = _ALIASES.get(name, name)
-    return name in _CATALOG and name != FINITELY_GENERATED
+    return _ALIASES.get(name, name) in _CATALOG
 
 
-def parse_group(text: str, ctx: PContext, gens=None) -> GroupSpec:
+def parse_group(text: str, ctx: PContext) -> GroupSpec:
     """Parse CLI group syntax: "GL_Zp(2)", "UnitsZp", "AxB", "AdditiveQp(3)"..."""
     text = text.strip()
     name, arg = text, None
@@ -379,11 +365,9 @@ def parse_group(text: str, ctx: PContext, gens=None) -> GroupSpec:
         except ValueError as exc:
             raise InputError(f"bad dimension in {text!r}") from exc
     name = _ALIASES.get(name, name)
-    if gens is not None:
-        return GroupSpec(FINITELY_GENERATED, ctx, gens.n, gens)
-    if name not in _CATALOG or name == FINITELY_GENERATED:
+    if name not in _CATALOG:
         raise InputError(f"unknown group {text!r}")
-    if name in (ADDITIVE_QP, GL_ZP, GL_QP, UPPER_UNIPOTENT_QP, BOREL_QP):
+    if _CATALOG[name][3]:
         if arg is None:
             raise InputError(f"{name} needs a dimension, e.g. {name}(2)")
         return GroupSpec(name, ctx, arg)

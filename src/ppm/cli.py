@@ -26,7 +26,7 @@ from .roots import FOUND, NO_ROOT, PadicApproxMatrix, axb_root, congruence_root,
     finite_root, unipotent_root
 from .oracle import enumerate_group, validate_f1
 from .scale import ScaleReport, invariant_lattice, scale_newton, scale_tidy
-from .steinitz import ord_catalog
+from .steinitz import CATALOG_ORDERS, ord_catalog
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -74,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--word-len", type=int, default=4)
 
     s = sub.add_parser("order", parents=[common], help="pro-order of a catalog compact group")
-    s.add_argument("group", choices=["GLn_Zp", "UnitsZp", "AdditiveZp", "PrincipalCongruence"])
+    s.add_argument("group", choices=list(CATALOG_ORDERS))
     s.add_argument("-n", type=int, default=1)
     s.add_argument("--level", type=int, default=1)
 

@@ -242,16 +242,14 @@ def common_fixed_space(group: GeneratorSet):
 
 
 def _complete_basis(cols, n):
-    """Extend independent columns to a basis using standard vectors."""
-    chosen = [list(c) for c in cols]
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        trial = chosen + [e]
-        if len(rref(trial)[1]) == len(trial):
-            chosen.append(e)
-        if len(chosen) == n:
-            break
-    return QMatrix.from_columns(chosen)
+    """Extend independent columns to a basis using standard vectors: e_j
+    joins when it lies outside the span of cols and e_0, ..., e_(j-1), that
+    is when coordinate j is no pivot of cols read from the last coordinate
+    to the first."""
+    pivots = rref([list(reversed(c)) for c in cols])[1]
+    added = [[Fraction(int(i == j)) for i in range(n)]
+             for j in range(n) if n - 1 - j not in pivots]
+    return QMatrix.from_columns([list(c) for c in cols] + added)
 
 
 def _split_action(group: GeneratorSet, subspace_cols):
@@ -272,7 +270,7 @@ def _split_action(group: GeneratorSet, subspace_cols):
     return t, restricted, quotient
 
 
-def _stable_directions(history, threshold):
+def _stable_directions(history):
     """Detect positions whose divisor froze while others keep growing.
 
     history is the list of (divisors, directions) per round, divisors
@@ -288,16 +286,16 @@ def _stable_directions(history, threshold):
         vals = [divs[i] for divs, _ in window]
         if all(v == vals[0] for v in vals):
             stable.append(i)
-        elif all(a < b for a, b in zip(vals, vals[1:])) and vals[-1] >= threshold:
+        elif all(a < b for a, b in zip(vals, vals[1:])) \
+                and vals[-1] >= _DEFAULT_DIVISOR_THRESHOLD:
             diverging.append(i)
     if stable and diverging and len(stable) + len(diverging) == length:
         return stable
     return None
 
 
-def ku_flag(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN,
-            rounds_cap: int = _DEFAULT_ROUNDS,
-            divisor_threshold: int = _DEFAULT_DIVISOR_THRESHOLD) -> Optional[FlagDecomposition]:
+def ku_flag(group: GeneratorSet,
+            word_len: int = _DEFAULT_WORD_LEN) -> Optional[FlagDecomposition]:
     """Finest certified flag with bounded quotient actions.
 
     Raises NotTypeR when the word sampler finds a counterexample (the
@@ -313,7 +311,7 @@ def ku_flag(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN,
     witness = type_r_witness_search(group, word_len)
     if witness is not None:
         raise NotTypeR(witness)
-    built = _flag_recurse(group, rounds_cap, divisor_threshold)
+    built = _flag_recurse(group)
     if built is None:
         return None
     t, dims, lattices = built
@@ -325,21 +323,21 @@ def ku_flag(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN,
     return flag
 
 
-def _flag_recurse(group: GeneratorSet, rounds_cap, threshold):
+def _flag_recurse(group: GeneratorSet):
     """Returns (basis change T, step dimensions, quotient lattices) or None."""
     n = group.n
-    res = bounded_group(group, rounds_cap, threshold)
+    res = bounded_group(group)
     if res.verdict == BOUNDED:
         fixed = common_fixed_space(group)
         if 0 < len(fixed) < n:  # always invariant, with the identity action on it
-            return _split_flag(group, fixed, rounds_cap, threshold)
+            return _split_flag(group, fixed)
         return QMatrix.identity(n), [n], [res.invariant]
     if res.verdict == INCONCLUSIVE:
         return None
-    return _unbounded_recurse(group, rounds_cap, threshold)
+    return _unbounded_recurse(group)
 
 
-def _unbounded_recurse(group: GeneratorSet, rounds_cap, threshold):
+def _unbounded_recurse(group: GeneratorSet):
     """Decreasing intersection saturation; the directions whose divisors
     stabilize while the rest diverge span the bounded-orbit candidate."""
     n = group.n
@@ -348,23 +346,23 @@ def _unbounded_recurse(group: GeneratorSet, rounds_cap, threshold):
     lat = start
     history = []
     stable = None
-    for _ in range(rounds_cap):
+    for _ in range(_DEFAULT_ROUNDS):
         shrunk = _orbit_round(lat, gens_and_invs, lattice_intersect)
         if shrunk == lat:
             break  # cannot happen after an UNBOUNDED verdict, but stay safe
         divisors, directions = elementary_divisors_with_directions(start, shrunk)
         history.append((divisors, directions))
-        stable = _stable_directions(history, threshold)
+        stable = _stable_directions(history)
         if stable is not None:
             break
         lat = shrunk
     if stable is None or not 0 < len(stable) < n:
         return None
     directions = history[-1][1]
-    return _split_flag(group, [directions.column(i) for i in stable], rounds_cap, threshold)
+    return _split_flag(group, [directions.column(i) for i in stable])
 
 
-def _split_flag(group: GeneratorSet, cols, rounds_cap, threshold):
+def _split_flag(group: GeneratorSet, cols):
     """Flag whose first step is the span of cols: None unless that span is
     invariant, the action on it bounded and the quotient's flag found."""
     split = _split_action(group, cols)
@@ -372,11 +370,10 @@ def _split_flag(group: GeneratorSet, cols, rounds_cap, threshold):
         return None
     t, restricted, quotient = split
     d = len(cols)
-    head = bounded_group(GeneratorSet(group.ctx, d, tuple(restricted)), rounds_cap, threshold)
+    head = bounded_group(GeneratorSet(group.ctx, d, tuple(restricted)))
     if head.verdict != BOUNDED:
         return None
-    tail = _flag_recurse(GeneratorSet(group.ctx, group.n - d, tuple(quotient)),
-                         rounds_cap, threshold)
+    tail = _flag_recurse(GeneratorSet(group.ctx, group.n - d, tuple(quotient)))
     return None if tail is None else _compose(t, d, head.invariant, tail)
 
 

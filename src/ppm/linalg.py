@@ -364,18 +364,18 @@ def _hermite(p: int, span: _Span):
     work = [list(col) for col in cols]
     basis, exps, units = [None] * n, [0] * n, [1] * n
     for i in range(n - 1, -1, -1):
-        best = bestv = None
+        best = None
         for k, col in enumerate(work):
-            if col[i]:
-                v = vp_int(col[i], p)
-                if bestv is None or v < bestv:
-                    best, bestv = k, v
-                    if v == 0:
-                        break
+            # a candidate beats the running best p^bestv exactly when that
+            # power does not divide it; only then is its valuation taken
+            if col[i] and (best is None or col[i] % pe):
+                best, bestv = k, vp_int(col[i], p)
+                pe = p ** bestv
+                if bestv == 0:
+                    break
         if best is None:
             raise ValueError("generators do not span a full-rank lattice")
         piv = work.pop(best)
-        pe = p ** bestv
         u = piv[i] // pe
         for col in work:
             y = col[i]
@@ -402,8 +402,8 @@ def _hermite(p: int, span: _Span):
     content = min(exps)  # the largest p^c dividing H
     for j, col in enumerate(basis):
         for x in col[:j]:
-            if content and x:
-                content = min(content, vp_int(x, p))
+            if content and x % p ** content:  # only an x that p^content misses lowers it
+                content = vp_int(x, p)
     if content:
         scale = p ** content
         basis = [[x // scale for x in col] for col in basis]

@@ -198,6 +198,7 @@ def _affine_solutions(mat: list, rhs: list, p: int):
 
 
 _SEED_CAP = 1_000_000  # mod-p candidates the seed search may enumerate
+_NODE_CAP = 200_000  # lift branches finite_root may explore
 
 
 def _mod_p_roots(t: modmat.Mat, k: int, p: int) -> list:
@@ -228,7 +229,7 @@ def _mod_p_roots(t: modmat.Mat, k: int, p: int) -> list:
 
 
 def finite_root(a, k: int, ctx: Optional[PContext] = None,
-                level: Optional[int] = None, node_cap: int = 200_000) -> RootResult:
+                level: Optional[int] = None) -> RootResult:
     """k-th root of an invertible matrix mod p^level by exhaustive mod-p
     search plus level-by-level linear lifting.
 
@@ -236,8 +237,8 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
     can die along one branch and survive along another. Branches are
     visited in lexicographic candidate order, so the Found answer is
     deterministic. The mod-p roots are drawn from the centralizer of the
-    target (``_mod_p_roots``); a centralizer past 10^6 elements raises
-    CapExceeded.
+    target (``_mod_p_roots``); a centralizer past 10^6 elements, or more
+    than _NODE_CAP lift branches, raises CapExceeded.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -257,8 +258,8 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
     while stack:
         x, m, seed = stack.pop()
         nodes += 1
-        if nodes > node_cap:
-            raise CapExceeded(f"finite_root explored more than {node_cap} branches")
+        if nodes > _NODE_CAP:
+            raise CapExceeded(f"finite_root explored more than {_NODE_CAP} branches")
         if m == level:
             mod = p ** level
             if modmat.mat_pow(x, k, mod) != a.entries:

@@ -65,16 +65,16 @@ class ScaleReport:
     method_agreement: bool
 
 
-def scale_tidy(a: QMatrix, ctx: PContext, l0: Lattice | None = None,
-               cap: int | None = None) -> ScaleReport:
-    """Iterate L_k = L_{k-1} ^ alpha(L_{k-1}) until the index exponent
-    reaches the Newton value; that lattice is a minimizer (tidy for alpha).
+def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport:
+    """Iterate L_k = L_{k-1} ^ alpha(L_{k-1}) from the standard lattice
+    until the index exponent reaches the Newton value; that lattice is a
+    minimizer (tidy for alpha).
     """
     polygon = _polygon(a, ctx)
     target = polygon.negative_exponent()
     if cap is None:
         cap = default_iteration_cap(polygon, a.n)
-    lat = l0 if l0 is not None else Lattice.standard(ctx, a.n)
+    lat = Lattice.standard(ctx, a.n)
     trace = []
     for k in range(cap + 1):
         image = apply(a, lat)
@@ -93,17 +93,16 @@ def scale_tidy(a: QMatrix, ctx: PContext, l0: Lattice | None = None,
         f"tidying did not certify the scale within {cap} steps", tuple(trace))
 
 
-def invariant_lattice(a: QMatrix, ctx: PContext, cap: int | None = None) -> Lattice | None:
+def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
     """A lattice L with alpha(L) = L, or None when no such lattice exists.
 
     Exists exactly when s(alpha) = s(alpha^{-1}) = 1, i.e. alpha is type
     R; it is then reached by saturating the standard lattice under alpha
-    and its inverse (dynamics.bounded_group) within cap growth rounds, 8n
-    by default.
+    and its inverse (dynamics.bounded_group) within 8n growth rounds.
     """
     if not type_r_matrix(a, ctx):  # raises Singular first
         return None
-    cap = 8 * a.n if cap is None else cap
+    cap = 8 * a.n
     res = bounded_group(GeneratorSet.of(ctx, [a]), rounds_cap=cap + 1)  # + the confirming round
     if res.verdict != BOUNDED:
         raise CapExceeded(f"invariant-lattice saturation ran past {cap} rounds",

@@ -1,18 +1,20 @@
 """Supernatural (Steinitz) numbers and pro-orders of catalog compact groups.
 
 A supernatural number is a formal product of p^n(p) with n(p) a positive
-integer or infinity; only primes actually present are stored. These house
-the orders of profinite groups, and the coprimality test against them
-decides surjectivity of the power maps there.
+integer or qpcore.INFINITY, stored as one sorted tuple of (prime, exponent)
+pairs. Products add exponents and lcm takes their maximum, both through
+one merge. These house the orders of profinite groups, and the coprimality
+test against them decides surjectivity of the power maps there.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
+from operator import add
 
 from .errors import UnknownCatalogEntry
-from .qpcore import is_prime
+from .qpcore import INFINITY, is_prime
 
 
 def _factor(n: int) -> dict:
@@ -30,30 +32,41 @@ def _factor(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+def _merge(pairs, combine) -> "Supernatural":
+    """Combine the exponents of each prime over (prime, exponent) pairs; a
+    prime not seen yet has exponent 0, which neither add nor max changes."""
+    exps = {}
+    for p, e in pairs:
+        exps[p] = combine(exps.get(p, 0), e)
+    out = object.__new__(Supernatural)
+    object.__setattr__(out, "factors", tuple(sorted(exps.items())))
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class Supernatural:
     """Formal product over primes with exponents in N or infinity.
 
-    finite: sorted (prime, exponent) pairs with exponent >= 1.
-    infinite: sorted primes carrying exponent infinity. A prime never
-    appears in both. The empty product is 1.
+    Built from finite (prime, exponent) pairs with exponent >= 1 (0 is
+    dropped) and infinite primes; a repeated prime multiplies, and a prime
+    may not be both finite and infinite. factors holds the sorted (prime,
+    exponent) pairs, each exponent an int >= 1 or INFINITY. The empty
+    product is 1.
     """
 
-    finite: tuple = field(default=())
-    infinite: tuple = field(default=())
+    factors: tuple
 
-    def __post_init__(self):
-        fin = tuple(sorted((int(p), int(e)) for p, e in dict(self.finite).items() if e))
-        inf = tuple(sorted(set(int(p) for p in self.infinite)))
-        if any(e < 1 for _, e in fin):
+    def __init__(self, finite=(), infinite=()):
+        finite = [(int(p), int(e)) for p, e in finite if e]
+        infinite = [(int(p), INFINITY) for p in infinite]
+        if any(e < 1 for _, e in finite):
             raise ValueError("finite exponents must be positive")
-        if any(p in inf for p, _ in fin):
+        if {p for p, _ in finite} & {p for p, _ in infinite}:
             raise ValueError("a prime cannot be both finite and infinite")
-        for p in [q for q, _ in fin] + list(inf):
+        for p, _ in finite + infinite:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "finite", fin)
-        object.__setattr__(self, "infinite", inf)
+        object.__setattr__(self, "factors", _merge(finite + infinite, add).factors)
 
     @classmethod
     def one(cls) -> "Supernatural":
@@ -61,27 +74,18 @@ class Supernatural:
 
     @classmethod
     def from_int(cls, n: int) -> "Supernatural":
-        return cls(tuple(_factor(n).items()), ())
+        return cls(tuple(_factor(n).items()))
 
     def exponent(self, p: int):
-        """Exponent of p: an int >= 0 or the string 'inf'."""
-        if p in self.infinite:
-            return "inf"
-        return dict(self.finite).get(p, 0)
+        """Exponent of p: an int >= 0 or INFINITY."""
+        return dict(self.factors).get(p, 0)
 
     def primes(self):
-        return tuple(sorted([p for p, _ in self.finite] + list(self.infinite)))
+        return tuple(p for p, _ in self.factors)
 
     def __str__(self):
-        parts = []
-        for p in self.primes():
-            e = self.exponent(p)
-            if e == "inf":
-                parts.append(f"{p}^inf")
-            elif e == 1:
-                parts.append(str(p))
-            else:
-                parts.append(f"{p}^{e}")
+        parts = [str(p) if e == 1 else f"{p}^{'inf' if e is INFINITY else e}"
+                 for p, e in self.factors]
         return " · ".join(parts) if parts else "1"
 
     def __mul__(self, other):
@@ -89,60 +93,44 @@ class Supernatural:
             other = Supernatural.from_int(other)
         if not isinstance(other, Supernatural):
             return NotImplemented
-        fin, inf = {}, set(self.infinite) | set(other.infinite)
-        for p, e in list(self.finite) + list(other.finite):
-            if p not in inf:
-                fin[p] = fin.get(p, 0) + e
-        return Supernatural(tuple(fin.items()), tuple(inf))
+        return _merge(self.factors + other.factors, add)
 
     __rmul__ = __mul__
 
     def divides(self, other: "Supernatural") -> bool:
-        for p in self.primes():
-            mine, theirs = self.exponent(p), other.exponent(p)
-            if theirs == "inf":
-                continue
-            if mine == "inf" or mine > theirs:
-                return False
-        return True
+        return all(e <= other.exponent(p) for p, e in self.factors)
 
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+|inf|∞))?$")
 
 
 def parse_supernatural(text: str) -> Supernatural:
+    """Read the text form, e.g. "2^4 · 3^inf · 5" (or with *): the product
+    of its factors, so a repeated prime multiplies."""
     text = text.strip()
     if text in ("1", ""):
         return Supernatural.one()
-    fin, inf = [], []
+    factors = []
     for token in re.split(r"[·*]", text):
         m = _TOKEN.match(token.strip())
         if not m:
             raise ValueError(f"cannot parse supernatural factor {token!r}")
-        p = int(m.group(1))
-        e = m.group(2) or "1"
-        if e in ("inf", "∞"):
-            inf.append(p)
-        else:
-            fin.append((p, int(e)))
-    return Supernatural(tuple(fin), tuple(inf))
+        p, e = int(m.group(1)), m.group(2) or "1"
+        factors.append(Supernatural((), (p,)) if e in ("inf", "∞")
+                       else Supernatural(((p, int(e)),)))
+    return prod(factors, start=Supernatural.one())
 
 
 def lcm(a: Supernatural, b: Supernatural) -> Supernatural:
     """Componentwise max of exponents; infinity dominates."""
-    fin, inf = {}, set(a.infinite) | set(b.infinite)
-    for p, e in list(a.finite) + list(b.finite):
-        if p not in inf:
-            fin[p] = max(fin.get(p, 0), e)
-    return Supernatural(tuple(fin.items()), tuple(inf))
+    return _merge(a.factors + b.factors, max)
 
 
 def coprime(k: int, n: Supernatural) -> bool:
     """True iff no prime factor of k appears in n."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    present = set(n.primes())
-    return not (set(_factor(k)) & present)
+    return set(_factor(k)).isdisjoint(n.primes())
 
 
 def profinite_surjective(k: int, order: Supernatural) -> bool:
@@ -156,26 +144,26 @@ def general_linear_order(n: int, p: int) -> int:
     return prod(p ** n - p ** i for i in range(n))
 
 
-def ord_catalog(group: str, p: int, n: int = 1, level: int = 1) -> Supernatural:
-    """Pro-order of a catalog compact group.
+# catalog compact group -> the finite part of its pro-order at (p, n); the
+# pro-order is that part times p^inf, at every congruence level
+CATALOG_ORDERS = {
+    "GLn_Zp": lambda p, n: general_linear_order(n, p),
+    # Z_p^* is Z/(p-1) x Z_p for odd p, but Z_2^* is Z/2 x Z_2: just 2^inf
+    "UnitsZp": lambda p, n: p - 1 if p > 2 else 1,
+    "AdditiveZp": lambda p, n: 1,
+    "PrincipalCongruence": lambda p, n: 1,
+}
 
-    GLn_Zp                |GL(n, F_p)| * p^inf
-    UnitsZp               (p-1) * p^inf for odd p, 2^inf at p = 2
-    AdditiveZp            p^inf
-    PrincipalCongruence   p^inf (any level, any n)
-    """
-    pinf = Supernatural((), (p,))
-    if group == "GLn_Zp":
-        return general_linear_order(n, p) * pinf
-    if group == "UnitsZp":
-        # Z_2^* is Z/2 x Z_2, so the generic (p-1) * p^inf formula is wrong at 2
-        if p == 2:
-            return pinf
-        return (p - 1) * pinf
-    if group == "AdditiveZp":
-        return pinf
-    if group == "PrincipalCongruence":
-        if level < 1:
-            raise ValueError("congruence level must be >= 1")
-        return pinf
-    raise UnknownCatalogEntry(f"no catalog group named {group!r}")
+
+def ord_catalog(group: str, p: int, n: int = 1, level: int = 1) -> Supernatural:
+    """Pro-order of a catalog compact group: its finite part in
+    CATALOG_ORDERS times p^inf, e.g. 2^4 · 3^inf for GLn_Zp at n = 2, p = 3.
+    The dimension n and the congruence level must be >= 1."""
+    finite = CATALOG_ORDERS.get(group)
+    if finite is None:
+        raise UnknownCatalogEntry(f"no catalog group named {group!r}")
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if level < 1:
+        raise ValueError("congruence level must be >= 1")
+    return finite(p, n) * Supernatural((), (p,))

@@ -196,3 +196,12 @@ def test_finitely_generated_analyze_runs_the_word_search_once(monkeypatch):
         "word g1·g2 has an eigenvalue of absolute value != 1, "
         "which dense power images forbid")
     assert v.certificate == {"witness_word": "g1·g2"}
+
+
+def test_a_negative_spot_check_count_is_an_input_error():
+    specs = [GroupSpec(ADDITIVE_QP, CTX3, 1), GroupSpec(AXB_ZP_UNITS, CTX3),
+             GroupSpec(UNITS_ZP, CTX3), GroupSpec(GL_ZP, CTX5, 2), GroupSpec(GL_QP, CTX3, 2)]
+    for spec in specs:
+        for k in (1, 2):
+            with pytest.raises(InputError):
+                analyze(spec, k, spot_checks=-3)

@@ -236,3 +236,12 @@ def test_finite_root_past_the_seed_cap_is_inconclusive(tmp_path, capsys):
     assert main(["root", "--kind", "finite", "-k", "2", "--level", "2",
                  str(path)]) == EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().err
+
+
+def test_malformed_catalog_numbers_are_input_errors(capsys):
+    assert main(["order", "GLn_Zp", "-n", "-1", "-p", "3"]) == EXIT_INPUT
+    assert main(["order", "GLn_Zp", "-n", "0", "-p", "3"]) == EXIT_INPUT
+    assert main(["analyze", "AdditiveQp(1)", "-p", "3", "-k", "2",
+                 "--spot-checks", "-3"]) == EXIT_INPUT
+    assert main(["analyze", "AxB", "-p", "5", "-k", "3", "--spot-checks", "-1"]) == EXIT_INPUT
+    capsys.readouterr()

@@ -2,12 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
-from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, bounded_group, \
+from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, _complete_basis, bounded_group, \
     common_fixed_space, ku_flag, type_r_matrix, type_r_witness_search
 from ppm.errors import NotTypeR, Singular
-from ppm.linalg import Lattice, QMatrix, apply
+from ppm.linalg import Lattice, QMatrix, apply, rref
 from ppm.qpcore import PContext
 from ppm.scale import scale_newton
 
@@ -205,3 +206,24 @@ def test_saturation_inverts_its_reference_lattice_once(eight_cycle, monkeypatch)
     res = bounded_group(group)
     assert res.verdict == BOUNDED and res.rounds == 5
     assert len(calls) <= 1
+
+
+def _greedy_completion(cols, n):
+    """The reference: try e_0, ..., e_(n-1) in turn, one elimination each."""
+    chosen = [list(c) for c in cols]
+    for j in range(n):
+        e = [F(int(i == j)) for i in range(n)]
+        if len(rref(chosen + [e])[1]) == len(chosen) + 1:
+            chosen.append(e)
+    return QMatrix.from_columns(chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_basis_completion_matches_the_greedy_reference(n, data):
+    d = data.draw(st.integers(1, n))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    cols = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                              min_size=d, max_size=d))
+    assume(len(rref(cols)[1]) == d)
+    assert _complete_basis(cols, n) == _greedy_completion(cols, n)

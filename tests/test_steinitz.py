@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ppm.errors import UnknownCatalogEntry
+from ppm.qpcore import INFINITY
 from ppm.steinitz import Supernatural, coprime, general_linear_order, lcm, ord_catalog, \
     parse_supernatural, profinite_surjective
 
@@ -106,3 +107,36 @@ def test_divides():
     assert sn([(2, 1)], [3]).divides(sn([], [2, 3]))
     assert not sn([], [2]).divides(sn([(2, 10)]))
     assert not sn([(7, 1)]).divides(sn([(2, 4)], [3]))
+
+
+def test_a_repeated_prime_multiplies():
+    assert parse_supernatural("3 · 3") == sn([(3, 2)])
+    assert str(parse_supernatural("2^2 * 3 * 2")) == "2^3 · 3"
+    assert parse_supernatural("3 · 3^inf") == sn([], [3])
+    assert Supernatural(((3, 1), (3, 1))) == sn([(3, 2)])
+
+
+def test_ord_catalog_rejects_a_dimension_below_one():
+    for name in ("GLn_Zp", "UnitsZp", "AdditiveZp", "PrincipalCongruence"):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                ord_catalog(name, 3, n=n)
+
+
+@given(a=supernaturals(), b=supernaturals(), c=supernaturals())
+def test_product_and_lcm_laws(a, b, c):
+    assert a.divides(lcm(a, b)) and b.divides(lcm(a, b))
+    assert a.divides(a * b) and b.divides(a * b)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert lcm(a, b).divides(a * b)
+
+
+@given(a=supernaturals())
+def test_text_round_trip_and_infinite_exponents(a):
+    assert parse_supernatural(str(a)) == a
+    for p in a.primes():
+        e = a.exponent(p)
+        assert (e is INFINITY) == (f"{p}^inf" in str(a).split(" · "))
+        assert e is INFINITY or (isinstance(e, int) and e >= 1)
+    assert a.exponent(17) == 0
