@@ -72,6 +72,8 @@ class GroupSpec:
             raise InputError(f"unknown group variant {self.variant!r}")
         if self.n < 1:
             raise InputError("dimension must be positive")
+        if self.n != 1 and self.variant in _CATALOG and not _CATALOG[self.variant][3]:
+            raise InputError(f"{self.variant} does not take a dimension")
         if (self.variant == FINITELY_GENERATED) != (self.gens is not None):
             raise InputError("generator sets go with FinitelyGenerated, only")
         if self.gens is not None and self.gens.n != self.n:
@@ -245,22 +247,12 @@ def _compact_spot_roots(spec, k, count, rng):
             if k * root % mod != b:
                 raise InternalInvariantViolation("additive spot root failed to verify")
             continue
-        if spec.variant == UNITS_ZP:
-            target = ((_random_unit(ctx.p, level, rng),),)
-        else:
-            target = _random_gl(spec.n, ctx.p, level, rng)
+        target = _random_gl(spec.n, ctx.p, level, rng)
         res = finite_root(target, k, ctx, level)
         if res.status != FOUND:
             raise InternalInvariantViolation(
                 f"verdict promised a k-th root of {target} mod {ctx.p}^{level}")
     return {"spot_roots": count, "spot_level": level}
-
-
-def _random_unit(p, level, rng):
-    while True:
-        x = rng.randrange(1, p ** level)
-        if x % p:
-            return x
 
 
 def _random_gl(n, p, level, rng):
@@ -277,7 +269,7 @@ def _axb_spot_roots(spec, k, count, rng):
     ctx = spec.ctx
     level = ctx.precision_n
     for _ in range(count):
-        a = _random_unit(ctx.p, level, rng)
+        a = _random_gl(1, ctx.p, level, rng)[0][0]
         b = rng.randrange(ctx.p ** level)
         res = axb_root((a, b), k, ctx, level)
         if res.status != FOUND:

@@ -202,13 +202,12 @@ def _cmd_root(args) -> int:
         result = axb_root(elem, args.k, ctx, args.level)
     else:
         ctx, mat = _load_matrix(args, args.input)
-        level = args.level if args.level is not None else ctx.precision_n
         if args.kind == "unipotent":
             result = unipotent_root(mat, args.k)
         elif args.kind == "congruence":
-            result = congruence_root(PadicApproxMatrix.from_rational(ctx, mat, level), args.k)
+            result = congruence_root(mat, args.k, ctx, args.level)
         else:
-            result = finite_root(PadicApproxMatrix.from_rational(ctx, mat, level), args.k)
+            result = finite_root(mat, args.k, ctx, args.level)
     payload = {"status": result.status}
     if result.status == FOUND:
         root = result.root

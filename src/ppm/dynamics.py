@@ -4,7 +4,11 @@ Three layers: a type-R sampler over short words (a necessary condition
 only, flagged as such), a boundedness decision by lattice saturation
 with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
-bounded. Flag certificates are re-verified before they are returned.
+bounded. Saturation runs in one loop, ``bounded_group``; the flag climbs
+the tower of common fixed subspaces and runs that loop on each quotient.
+A certified flag exists only for a bounded group, so a saturation that
+does not end BOUNDED ends the flag search inconclusive. Flag
+certificates are re-verified before they are returned.
 An UNBOUNDED verdict on one generator is certified by the scale
 criterion (the generator is not type R); on two or more generators,
 negative verdicts are evidence, never proofs.
@@ -18,8 +22,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, \
-    elementary_divisors_with_directions, lattice_sum, lattice_intersect, rref
+from .linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, lattice_sum, rref
 from .qpcore import PContext
 
 _DEFAULT_WORD_LEN = 4
@@ -134,11 +137,6 @@ class BoundednessResult:
     caps: Optional[dict] = None
 
 
-def _orbit_round(lat: Lattice, mats, combine) -> Lattice:
-    """One saturation round: fold combine over lat and its images g(lat)."""
-    return reduce(combine, (apply(g, lat) for g in mats), lat)
-
-
 def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS,
                   divisor_threshold: int = _DEFAULT_DIVISOR_THRESHOLD) -> BoundednessResult:
     """Grow the standard lattice by the generator orbit until it stops
@@ -156,7 +154,7 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS,
     mins = [0]
     may_diverge = None  # decided when the divergence evidence first appears
     for round_no in range(1, rounds_cap + 1):
-        grown = _orbit_round(lat, gens_and_invs, lattice_sum)
+        grown = reduce(lattice_sum, (apply(g, lat) for g in gens_and_invs), lat)
         if grown == lat:
             for g in gens_and_invs:
                 if apply(g, lat) != lat:
@@ -252,135 +250,64 @@ def _complete_basis(cols, n):
     return QMatrix.from_columns([list(c) for c in cols] + added)
 
 
-def _split_action(group: GeneratorSet, subspace_cols):
-    """Change basis to [subspace | completion]; return (T, restricted
-    generators on the subspace, quotient generators), or None when the
-    subspace is not invariant under some generator."""
-    n = group.n
-    d = len(subspace_cols)
-    t = _complete_basis(subspace_cols, n)
+def _split_action(group: GeneratorSet, cols):
+    """Change basis to [cols | completion] for an invariant span of cols;
+    return (T, the action on the quotient by that span)."""
+    n, d = group.n, len(cols)
+    t = _complete_basis(cols, n)
     t_inv = t.inverse()
-    restricted, quotient = [], []
-    for g in group.gens:
-        conj = t_inv * g * t
-        if any(conj.rows[r][c] != 0 for r in range(d, n) for c in range(d)):
-            return None
-        restricted.append(QMatrix([row[:d] for row in conj.rows[:d]]))
-        quotient.append(QMatrix([row[d:] for row in conj.rows[d:]]))
-    return t, restricted, quotient
-
-
-def _stable_directions(history):
-    """Detect positions whose divisor froze while others keep growing.
-
-    history is the list of (divisors, directions) per round, divisors
-    ascending. Returns the stable column indices at the last round, or
-    None until the split is unambiguous.
-    """
-    if len(history) < _STREAK + 1:
-        return None
-    window = history[-(_STREAK + 1):]
-    length = len(window[0][0])
-    stable, diverging = [], []
-    for i in range(length):
-        vals = [divs[i] for divs, _ in window]
-        if all(v == vals[0] for v in vals):
-            stable.append(i)
-        elif all(a < b for a, b in zip(vals, vals[1:])) \
-                and vals[-1] >= _DEFAULT_DIVISOR_THRESHOLD:
-            diverging.append(i)
-    if stable and diverging and len(stable) + len(diverging) == length:
-        return stable
-    return None
+    quotient = tuple(QMatrix([row[d:] for row in (t_inv * g * t).rows[d:]])
+                     for g in group.gens)
+    return t, GeneratorSet(group.ctx, n - d, quotient)
 
 
 def ku_flag(group: GeneratorSet,
             word_len: int = _DEFAULT_WORD_LEN) -> Optional[FlagDecomposition]:
-    """Finest certified flag with bounded quotient actions.
+    """Finest certified flag with bounded quotient actions, climbing the
+    tower of common fixed subspaces.
 
     Raises NotTypeR when the word sampler finds a counterexample (the
     decomposition cannot exist then). Returns None (inconclusive) when
-    saturation diverges but no invariant bounded subspace can be
-    certified within the caps. Any returned decomposition has passed the
-    exact certificate checks.
+    saturation of the group, or of a quotient on the way, does not end
+    BOUNDED. That loses no flag: if a finitely generated group preserves a
+    flag whose diagonal blocks fix lattices L_1, ..., L_m, then in the flag
+    basis it fixes the lattice sum_i p^(N i) L_i once N beats the p-adic
+    denominators of the generators' off-diagonal blocks, so the group is
+    bounded. Any returned decomposition has passed the exact certificate
+    checks.
 
-    Bounded actions are refined along the tower of common fixed
-    subspaces, which exhibits the largest unipotent sleeve the
-    generators share; an irreducible bounded action stays one block.
+    Each step splits off the space the current quotient fixes pointwise,
+    where the action is the identity and fixes the standard lattice; the
+    steps exhibit the largest unipotent sleeve the generators share, and
+    an irreducible bounded action stays one block.
     """
     witness = type_r_witness_search(group, word_len)
     if witness is not None:
         raise NotTypeR(witness)
-    built = _flag_recurse(group)
-    if built is None:
-        return None
-    t, dims, lattices = built
+    ctx, n = group.ctx, group.n
+    t = QMatrix.identity(n)
+    dims, lattices = [], []
+    rest = group  # the action on the trailing quotient V / V_i
+    while True:
+        res = bounded_group(rest)
+        if res.verdict != BOUNDED:
+            return None
+        fixed = common_fixed_space(rest)
+        if not 0 < len(fixed) < rest.n:  # a fixed space is always invariant
+            break
+        cut, d = n - rest.n, len(fixed)
+        step, rest = _split_action(rest, fixed)
+        block = [list(row) for row in QMatrix.identity(n).rows]
+        for i, row in enumerate(step.rows):  # diag(1_cut, step)
+            block[cut + i][cut:] = row
+        t = t * QMatrix(block)
+        dims.append(d)
+        lattices.append(Lattice.standard(ctx, d))
+    dims.append(rest.n)
+    lattices.append(res.invariant)
     cumulative = (0, *accumulate(dims))
     t_inv = t.inverse()
     conj = tuple(t_inv * g * t for g in group.gens)
     flag = FlagDecomposition(t, cumulative, tuple(lattices), conj)
     _verify_flag(group, flag)
     return flag
-
-
-def _flag_recurse(group: GeneratorSet):
-    """Returns (basis change T, step dimensions, quotient lattices) or None."""
-    n = group.n
-    res = bounded_group(group)
-    if res.verdict == BOUNDED:
-        fixed = common_fixed_space(group)
-        if 0 < len(fixed) < n:  # always invariant, with the identity action on it
-            return _split_flag(group, fixed)
-        return QMatrix.identity(n), [n], [res.invariant]
-    if res.verdict == INCONCLUSIVE:
-        return None
-    return _unbounded_recurse(group)
-
-
-def _unbounded_recurse(group: GeneratorSet):
-    """Decreasing intersection saturation; the directions whose divisors
-    stabilize while the rest diverge span the bounded-orbit candidate."""
-    n = group.n
-    start = Lattice.standard(group.ctx, n)
-    gens_and_invs = group.with_inverses()
-    lat = start
-    history = []
-    stable = None
-    for _ in range(_DEFAULT_ROUNDS):
-        shrunk = _orbit_round(lat, gens_and_invs, lattice_intersect)
-        if shrunk == lat:
-            break  # cannot happen after an UNBOUNDED verdict, but stay safe
-        divisors, directions = elementary_divisors_with_directions(start, shrunk)
-        history.append((divisors, directions))
-        stable = _stable_directions(history)
-        if stable is not None:
-            break
-        lat = shrunk
-    if stable is None or not 0 < len(stable) < n:
-        return None
-    directions = history[-1][1]
-    return _split_flag(group, [directions.column(i) for i in stable])
-
-
-def _split_flag(group: GeneratorSet, cols):
-    """Flag whose first step is the span of cols: None unless that span is
-    invariant, the action on it bounded and the quotient's flag found."""
-    split = _split_action(group, cols)
-    if split is None:
-        return None
-    t, restricted, quotient = split
-    d = len(cols)
-    head = bounded_group(GeneratorSet(group.ctx, d, tuple(restricted)))
-    if head.verdict != BOUNDED:
-        return None
-    tail = _flag_recurse(GeneratorSet(group.ctx, group.n - d, tuple(quotient)))
-    return None if tail is None else _compose(t, d, head.invariant, tail)
-
-
-def _compose(t: QMatrix, head_dim: int, head_lattice: Lattice, tail):
-    """Stitch a head step onto the recursive tail's basis change."""
-    t_tail, dims_tail, lats_tail = tail
-    block = [list(row) for row in QMatrix.identity(t.n).rows]
-    for i, row in enumerate(t_tail.rows):  # t_tail on the trailing diagonal block
-        block[head_dim + i][head_dim:] = row
-    return t * QMatrix(block), [head_dim] + dims_tail, [head_lattice] + lats_tail

@@ -205,3 +205,13 @@ def test_a_negative_spot_check_count_is_an_input_error():
         for k in (1, 2):
             with pytest.raises(InputError):
                 analyze(spec, k, spot_checks=-3)
+
+
+def test_a_catalog_group_without_a_dimension_rejects_one():
+    # these groups are not matrix groups of a chosen size: an n = 2 spec was
+    # accepted and then was no subgroup of the same group at n = 1
+    for variant in (ADDITIVE_ZP, UNITS_ZP, AXB_ZP_UNITS):
+        with pytest.raises(InputError):
+            GroupSpec(variant, CTX3, 2)
+        assert analyze_subgroup(GroupSpec(variant, CTX3), GroupSpec(variant, CTX3), 5) \
+            .relation == "inherited"

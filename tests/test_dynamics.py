@@ -143,9 +143,9 @@ def test_flag_rejects_non_type_r_input():
 
 
 def test_flag_extraction_path_stays_honest():
-    # with the sampler disabled, a contracting diagonal map reaches the
-    # intersection-saturation extraction; the stable line is certified but
-    # the 1-dimensional quotient can never be, so the verdict is inconclusive
+    # with the sampler disabled, a contracting diagonal map reaches the flag
+    # search; its saturation ends UNBOUNDED, and a group with a certified
+    # flag is bounded, so the verdict is inconclusive
     g = GeneratorSet.of(CTX3, [QMatrix.diagonal([F(1, 3), 1])])
     assert ku_flag(g, word_len=0) is None
 
