@@ -5,10 +5,10 @@ only, flagged as such), a boundedness decision by lattice saturation
 with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
 bounded. Saturation runs in one loop, ``bounded_group``; the flag climbs
-the tower of common fixed subspaces and runs that loop on each quotient.
-A certified flag exists only for a bounded group, so a saturation that
-does not end BOUNDED ends the flag search inconclusive. Flag
-certificates are re-verified before they are returned.
+the tower of common fixed subspaces by linear algebra alone and runs
+that loop once, on the last quotient, where a verdict other than
+BOUNDED ends the flag search inconclusive. Flag certificates are
+re-verified before they are returned.
 An UNBOUNDED verdict on one generator is certified by the scale
 criterion (the generator is not type R); on two or more generators,
 negative verdicts are evidence, never proofs.
@@ -90,6 +90,8 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     This samples a necessary condition: words beyond the bound are not
     inspected, so None never certifies that the whole group is type R.
     """
+    if word_len < 0:
+        raise ValueError("word_len must be non-negative")
     ctx = group.ctx
     alphabet = [(i, sign, h) for i, pair in enumerate(zip(group.gens, group.inverses))
                 for sign, h in zip((1, -1), pair)]
@@ -154,12 +156,12 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS,
     mins = [0]
     may_diverge = None  # decided when the divergence evidence first appears
     for round_no in range(1, rounds_cap + 1):
-        grown = reduce(lattice_sum, (apply(g, lat) for g in gens_and_invs), lat)
+        images = [apply(g, lat) for g in gens_and_invs]
+        grown = reduce(lattice_sum, images, lat)
         if grown == lat:
-            for g in gens_and_invs:
-                if apply(g, lat) != lat:
-                    raise InternalInvariantViolation(
-                        "saturation fixpoint is not generator-invariant")
+            if any(image != lat for image in images):
+                raise InternalInvariantViolation(
+                    "saturation fixpoint is not generator-invariant")
             return BoundednessResult(BOUNDED, invariant=lat, divisor_trace=tuple(trace),
                                      rounds=round_no)
         divisors = elementary_divisors(start, grown)
@@ -267,19 +269,20 @@ def ku_flag(group: GeneratorSet,
     tower of common fixed subspaces.
 
     Raises NotTypeR when the word sampler finds a counterexample (the
-    decomposition cannot exist then). Returns None (inconclusive) when
-    saturation of the group, or of a quotient on the way, does not end
-    BOUNDED. That loses no flag: if a finitely generated group preserves a
-    flag whose diagonal blocks fix lattices L_1, ..., L_m, then in the flag
-    basis it fixes the lattice sum_i p^(N i) L_i once N beats the p-adic
-    denominators of the generators' off-diagonal blocks, so the group is
-    bounded. Any returned decomposition has passed the exact certificate
-    checks.
+    decomposition cannot exist then). Each step splits off, by linear
+    algebra alone, the space the current quotient fixes pointwise, where
+    the action is the identity and fixes the standard lattice; the steps
+    exhibit the largest unipotent sleeve the generators share, and an
+    irreducible bounded action stays one block.
 
-    Each step splits off the space the current quotient fixes pointwise,
-    where the action is the identity and fixes the standard lattice; the
-    steps exhibit the largest unipotent sleeve the generators share, and
-    an irreducible bounded action stays one block.
+    Only the last quotient is saturated. Its invariant lattice is the last
+    block's; None (inconclusive) is returned when it does not end
+    BOUNDED. Saturating the whole group first would add nothing: if a
+    finitely generated group preserves a flag whose diagonal blocks fix
+    lattices L_1, ..., L_m, then in the flag basis it fixes the lattice
+    sum_i p^(N i) L_i once N beats the p-adic denominators of the
+    generators' off-diagonal blocks, so the group is bounded. Any returned
+    decomposition has passed the exact certificate checks.
     """
     witness = type_r_witness_search(group, word_len)
     if witness is not None:
@@ -289,9 +292,6 @@ def ku_flag(group: GeneratorSet,
     dims, lattices = [], []
     rest = group  # the action on the trailing quotient V / V_i
     while True:
-        res = bounded_group(rest)
-        if res.verdict != BOUNDED:
-            return None
         fixed = common_fixed_space(rest)
         if not 0 < len(fixed) < rest.n:  # a fixed space is always invariant
             break
@@ -303,6 +303,9 @@ def ku_flag(group: GeneratorSet,
         t = t * QMatrix(block)
         dims.append(d)
         lattices.append(Lattice.standard(ctx, d))
+    res = bounded_group(rest)
+    if res.verdict != BOUNDED:
+        return None
     dims.append(rest.n)
     lattices.append(res.invariant)
     cumulative = (0, *accumulate(dims))

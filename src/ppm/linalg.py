@@ -458,9 +458,6 @@ class Lattice:
                 p ** max(s, 0), [[x * up for x in row] for row in zip(*self._cols)]))
             return self._basis
 
-    def diagonal_exponents(self):
-        return tuple(e - self._shift for e in self._exps)
-
     def det_valuation(self) -> int:
         return sum(self._exps) - self.n * self._shift
 

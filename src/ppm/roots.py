@@ -146,6 +146,8 @@ def congruence_root(a, k: int, ctx: Optional[PContext] = None,
     1, then X = A y^(k-1). Mod p^level the subgroup is a p-group, so this
     root is its only k-th root of A there. No search.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     a, ctx, level = _as_approx(a, ctx, level)
     p, n = ctx.p, a.n
     if gcd(k, p) != 1:

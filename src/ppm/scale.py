@@ -74,6 +74,8 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
     target = polygon.negative_exponent()
     if cap is None:
         cap = default_iteration_cap(polygon, a.n)
+    elif cap < 0:
+        raise ValueError("cap must be non-negative")
     lat = Lattice.standard(ctx, a.n)
     trace = []
     for k in range(cap + 1):

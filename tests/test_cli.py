@@ -165,6 +165,17 @@ def test_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_caps_are_input_errors(matrix_file, gens_file, capsys):
+    assert main(["typer", gens_file, "--word-len", "-1"]) == EXIT_INPUT
+    assert main(["flag", gens_file, "--word-len", "-2"]) == EXIT_INPUT
+    assert main(["tidy", matrix_file, "--cap", "-1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "word_len must be non-negative" in err and "cap must be non-negative" in err
+    assert main(["typer", gens_file, "--word-len", "0"]) == EXIT_OK
+    assert main(["tidy", matrix_file, "--cap", "0"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_prime_flag_consistency(matrix_file, capsys):
     assert main(["scale", matrix_file, "-p", "3"]) == EXIT_OK
     capsys.readouterr()

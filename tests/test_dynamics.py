@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ppm.dynamics
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
 from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, _complete_basis, bounded_group, \
     common_fixed_space, ku_flag, type_r_matrix, type_r_witness_search
@@ -162,6 +163,31 @@ def test_flag_three_step_tower():
             for r in range(hi, 3):
                 for c in range(flag.dims[i], hi):
                     assert conj.rows[r][c] == 0
+
+
+def test_ku_flag_saturates_once(monkeypatch):
+    # the fixed-space tower is linear algebra; only the last quotient is saturated
+    heis_a = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    heis_b = QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])
+    calls = []
+
+    def counting(group, *args, **kwargs):
+        calls.append(group.n)
+        return bounded_group(group, *args, **kwargs)
+
+    monkeypatch.setattr(ppm.dynamics, "bounded_group", counting)
+    flag = ku_flag(GeneratorSet.of(CTX3, [heis_a, heis_b]))
+    assert flag.dims == (0, 1, 2, 3)
+    assert calls == [1]
+
+
+def test_witness_search_rejects_a_negative_word_length():
+    group = GeneratorSet.of(CTX3, [U1])
+    with pytest.raises(ValueError, match="word_len"):
+        type_r_witness_search(group, -1)
+    with pytest.raises(ValueError, match="word_len"):
+        ku_flag(group, word_len=-2)
+    assert type_r_witness_search(group, 0) is None
 
 
 def test_common_fixed_space():

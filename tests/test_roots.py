@@ -90,6 +90,12 @@ class TestCongruence:
             # 1 + 2M is not enough at p = 2; the domain is 1 + 4M
             congruence_root(PadicApproxMatrix(ctx2, 5, ((3,),)), 3)
 
+    def test_rejects_a_non_positive_k(self):
+        ctx = PContext(3, 5)
+        for k, level in ((0, 5), (-1, 1), (-1, 5)):
+            with pytest.raises(ValueError, match="k must be positive"):
+                congruence_root(PadicApproxMatrix(ctx, 5, ((4,),)), k, level=level)
+
     def test_p2_domain(self):
         ctx2 = PContext(2, 8)
         a = ((5, 4), (8, 13))  # congruent to 1 mod 4

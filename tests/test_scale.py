@@ -47,6 +47,13 @@ def test_tidy_examples():
     assert r.scale_exponent == 1 and r.iteration_trace[0] == (0, 1)
 
 
+def test_tidy_rejects_a_negative_cap():
+    a = QMatrix.diagonal([F(1, 3), 1])
+    with pytest.raises(ValueError, match="cap"):
+        scale_tidy(a, CTX3, cap=-1)
+    assert scale_tidy(a, CTX3, cap=0).iteration_trace == ((0, 1),)
+
+
 def test_tidy_report_invariants():
     rng = random.Random(101)
     for p in (2, 3, 5):
