@@ -4,9 +4,11 @@ and user-supplied finitely generated matrix groups.
 The catalog carries its structural facts (which quotient is compact and
 its pro-order, which radical is a split unipotent group) as data, one
 table row per variant: they are classical, and computing them from
-defining equations is out of scope. A compact part of pro-order N makes
-x -> x^k onto exactly when k is prime to N; both kinds with a compact
-part get that verdict from one helper. For these groups density and
+defining equations is out of scope. A group keeping a split torus is
+never dense; every other one is a compact extension of split unipotent
+groups, and x -> x^k is onto exactly when k is prime to the compact
+part's pro-order. ``analyze`` decides that once and returns through one
+shared tail, drawing spot roots in one loop. For these groups density and
 surjectivity coincide, and the verdict cites that equivalence explicitly.
 Finitely generated inputs only ever receive necessary-condition verdicts.
 """
@@ -143,52 +145,39 @@ def analyze(spec: GroupSpec, k: int, spot_checks: int = 0,
     if spec.variant == FINITELY_GENERATED:
         return _finitely_generated_verdict(spec, k)
     kind, order = spec.structure()
-    rng = rng or random.Random(0)
+    if kind == _NONCOMPACT:
+        return _verdict(k, NOT_DENSE, [
+            ("noncompact-quasireductive-quotient",
+             f"{spec.describe()} has a noncompact quotient with trivial split "
+             "unipotent radical, so the power image cannot be dense for k > 1"),
+            ("split-torus-obstruction",
+             "a split torus survives in the quotient and its k-th powers are "
+             "a proper closed subgroup"),
+        ])
+    onto = order is None or profinite_surjective(k, order)
+    cert = {}
     if kind == _SPLIT_UNIPOTENT:
-        cert = _unipotent_spot_roots(spec, k, spot_checks, rng)
-        return _verdict(k, SURJECTIVE_AND_DENSE, [
-            ("split-unipotent-divisibility",
-             f"{spec.describe()} is split unipotent over a characteristic-0 field, "
-             "so k-th roots exist and are unique for every k")], cert)
-    if kind == _COMPACT:
-        return _coprimality_verdict(
-            k, order,
-            [("compact-group-order", f"{spec.describe()} is compact with pro-order {order}")],
-            "k = {k} shares a prime with the order: {shares}", {"order": str(order)},
-            lambda: _compact_spot_roots(spec, k, spot_checks, rng))
-    if kind == _COMPACT_EXTENSION:
-        return _coprimality_verdict(
-            k, order,
-            [("split-unipotent-radical",
-              "the translation part is a split unipotent normal subgroup; "
-              "the quotient by it is compact"),
-             ("compact-quotient-order", f"quotient pro-order {order}")],
-            "gcd-free({k}, {order}) = {ok}", {},
-            lambda: _axb_spot_roots(spec, k, spot_checks, rng),
-            lift=[("congruence-lift",
-                   "surjectivity on the compact quotient lifts through the "
-                   "nilpotent normal subgroup level by level")])
-    return _verdict(k, NOT_DENSE, [
-        ("noncompact-quasireductive-quotient",
-         f"{spec.describe()} has a noncompact quotient with trivial split "
-         "unipotent radical, so the power image cannot be dense for k > 1"),
-        ("split-torus-obstruction",
-         "a split torus survives in the quotient and its k-th powers are "
-         "a proper closed subgroup"),
-    ])
-
-
-def _coprimality_verdict(k, order, steps, detail, cert, spot_roots, lift=()):
-    """The criterion for a compact group, or a compact quotient over a split
-    unipotent radical, of this pro-order: x -> x^k is onto exactly when k is
-    prime to it. steps lead up to the coprimality step, whose detail is
-    formatted with k, order, ok and shares (= not ok); when onto, the lift
-    steps follow and spot_roots() joins cert."""
-    ok = profinite_surjective(k, order)
-    steps = [*steps, ("coprimality", detail.format(k=k, order=order, ok=ok, shares=not ok))]
-    if not ok:
+        steps = [("split-unipotent-divisibility",
+                  f"{spec.describe()} is split unipotent over a characteristic-0 field, "
+                  "so k-th roots exist and are unique for every k")]
+    elif kind == _COMPACT:
+        steps = [("compact-group-order", f"{spec.describe()} is compact with pro-order {order}"),
+                 ("coprimality", f"k = {k} shares a prime with the order: {not onto}")]
+        cert["order"] = str(order)
+    else:  # _COMPACT_EXTENSION
+        steps = [("split-unipotent-radical",
+                  "the translation part is a split unipotent normal subgroup; "
+                  "the quotient by it is compact"),
+                 ("compact-quotient-order", f"quotient pro-order {order}"),
+                 ("coprimality", f"gcd-free({k}, {order}) = {onto}")]
+        if onto:
+            steps.append(("congruence-lift",
+                          "surjectivity on the compact quotient lifts through the "
+                          "nilpotent normal subgroup level by level"))
+    if not onto:
         return _verdict(k, NOT_DENSE, steps, cert)
-    return _verdict(k, SURJECTIVE_AND_DENSE, steps + list(lift), {**cert, **spot_roots()})
+    cert.update(_spot_roots(spec, kind, k, spot_checks, rng or random.Random(0)))
+    return _verdict(k, SURJECTIVE_AND_DENSE, steps, cert)
 
 
 def _finitely_generated_verdict(spec, k):
@@ -211,16 +200,35 @@ def _finitely_generated_verdict(spec, k):
                       f"flag dimensions {flag.dims}: the group sits inside "
                       "compact-by-split-unipotent, consistent with dense powers"))
         cert["flag_dims"] = list(flag.dims)
-    return PowerVerdict(k, INCONCLUSIVE, tuple(steps), cert)
+    return _verdict(k, INCONCLUSIVE, steps, cert)
 
 
-def _unipotent_spot_roots(spec, k, count, rng):
+def _spot_roots(spec, kind, k, count, rng):
+    """Certificate entries for count random k-th roots, each found and
+    re-verified by the root routine of the group's kind."""
     if not count:
         return {}
-    n = spec.n if spec.variant == UPPER_UNIPOTENT_QP else 2
+    ctx, level = spec.ctx, spec.ctx.precision_n
+    mod = ctx.p ** level
     for _ in range(count):
-        if unipotent_root(_random_unipotent(n, rng), k).status != FOUND:
-            raise InternalInvariantViolation("verdict promised a unipotent root")
+        if kind == _SPLIT_UNIPOTENT:
+            n = spec.n if spec.variant == UPPER_UNIPOTENT_QP else 2
+            found = unipotent_root(_random_unipotent(n, rng), k).status == FOUND
+        elif spec.variant == ADDITIVE_ZP:
+            # the k-th "power" is k * x; k is a unit, so the root b / k lies in Z_p
+            b = rng.randrange(mod)
+            found = k * (b * pow(k, -1, mod) % mod) % mod == b
+        elif kind == _COMPACT_EXTENSION:
+            a = _random_gl(1, ctx.p, level, rng)[0][0]
+            found = axb_root((a, rng.randrange(mod)), k, ctx, level).status == FOUND
+        else:
+            target = _random_gl(spec.n, ctx.p, level, rng)
+            found = finite_root(target, k, ctx, level).status == FOUND
+        if not found:
+            raise InternalInvariantViolation(
+                f"verdict promised a {k}-th root in {spec.describe()} that was not found")
+    if kind == _COMPACT:
+        return {"spot_roots": count, "spot_level": level}
     return {"spot_roots": count}
 
 
@@ -232,49 +240,12 @@ def _random_unipotent(n, rng):
     return QMatrix(rows)
 
 
-def _compact_spot_roots(spec, k, count, rng):
-    if not count:
-        return {}
-    ctx = spec.ctx
-    level = ctx.precision_n
-    mod = ctx.p ** level
-    for _ in range(count):
-        if spec.variant == ADDITIVE_ZP:
-            # the k-th "power" is k * x; the witness root must lie in the
-            # group itself, so divide by k directly (a unit mod p here)
-            b = rng.randrange(mod)
-            root = b * pow(k, -1, mod) % mod
-            if k * root % mod != b:
-                raise InternalInvariantViolation("additive spot root failed to verify")
-            continue
-        target = _random_gl(spec.n, ctx.p, level, rng)
-        res = finite_root(target, k, ctx, level)
-        if res.status != FOUND:
-            raise InternalInvariantViolation(
-                f"verdict promised a k-th root of {target} mod {ctx.p}^{level}")
-    return {"spot_roots": count, "spot_level": level}
-
-
 def _random_gl(n, p, level, rng):
     mod = p ** level
     while True:
         rows = tuple(tuple(rng.randrange(mod) for _ in range(n)) for _ in range(n))
         if modmat.invertible_mod(rows, p):
             return rows
-
-
-def _axb_spot_roots(spec, k, count, rng):
-    if not count:
-        return {}
-    ctx = spec.ctx
-    level = ctx.precision_n
-    for _ in range(count):
-        a = _random_gl(1, ctx.p, level, rng)[0][0]
-        b = rng.randrange(ctx.p ** level)
-        res = axb_root((a, b), k, ctx, level)
-        if res.status != FOUND:
-            raise InternalInvariantViolation("verdict promised a semidirect root")
-    return {"spot_roots": count}
 
 
 # containment witnesses between catalog groups: True marks an algebraic

@@ -113,6 +113,10 @@ def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> Fi
     generated subgroup, since g^-1 = g^(ord g - 1); the cyclic walks then
     check closure under inverses, and the order must divide
     |GL(n, Z/p^m)|."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if not gens:
+        raise ValueError("need at least one generator")
     p = ctx.p
     mod = p ** level
     n = len(gens[0])
@@ -162,7 +166,7 @@ def power_surjective(table: FiniteGroupTable, k: int) -> PowerImage:
     x = y^j on a walk of length d has x^k = y^(jk mod d), which the walk
     holds: every power is read off a multiplication already made."""
     if k < 0:
-        raise ValueError("negative exponent: invert explicitly with mat_inv")
+        raise ValueError("k must be non-negative")
     walk, step, start, flat = table._cycles()
     hit = bytearray(table.order)  # hit[i] = 1 when element i is a k-th power
     for w, j in zip(walk, step):

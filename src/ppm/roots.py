@@ -33,6 +33,8 @@ class PadicApproxMatrix:
     entries: tuple
 
     def __post_init__(self):
+        if self.level < 1:
+            raise ValueError("level must be >= 1")
         mod = self.ctx.p ** self.level
         ent = modmat.reduce_mat(self.entries, mod)
         object.__setattr__(self, "entries", ent)
@@ -123,6 +125,8 @@ def _as_approx(a, ctx: Optional[PContext], level: Optional[int]):
     """(a as a PadicApproxMatrix, its context, the working level). A
     PadicApproxMatrix brings its own context and default level, and
     bounds the level: past it the entries are unknown."""
+    if level is not None and level < 1:
+        raise ValueError("level must be >= 1")
     if isinstance(a, PadicApproxMatrix):
         if level is not None and level > a.level:
             raise PrecisionExhausted(
@@ -294,21 +298,20 @@ def finite_root(a, k: int, ctx: Optional[PContext] = None,
     return RootResult.no_root(deepest_death)
 
 
-def _geometric_sum(alpha: int, k: int, mod: int) -> int:
-    total, power = 0, 1
-    for _ in range(k):
-        total = (total + power) % mod
-        power = power * alpha % mod
-    return total
+def _affine_power(alpha: int, beta: int, k: int, mod: int):
+    """(alpha, beta)^k = (alpha^k, (1 + alpha + ... + alpha^(k-1)) beta) mod
+    `mod`: the top row of the k-th power of the matrix ((alpha, beta), (0, 1))."""
+    return modmat.mat_pow(((alpha, beta), (0, 1)), k, mod)[0]
 
 
 def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootResult:
     """k-th root of (a, b) in the solvable group with product
     (a, b)(a', b') = (aa', b + a b'), a a unit of Z_p, b in Z_p.
 
-    Power formula: (a, b)^k = (a^k, (1 + a + ... + a^{k-1}) b). Every
-    k-th root alpha of a is tried; the unipotent coordinate needs the
-    geometric sum to be invertible enough to divide b.
+    Power formula: (a, b)^k = (a^k, (1 + a + ... + a^{k-1}) b), the
+    k-th power of the affine matrix ((a, b), (0, 1)). Every k-th root
+    alpha of a is tried; the unipotent coordinate needs the geometric sum
+    to be invertible enough to divide b.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -327,7 +330,7 @@ def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootRe
     obstructions = []
     saw_undecidable = False
     for alpha in alphas:
-        s = _geometric_sum(alpha, k, mod)
+        s = _affine_power(alpha, 1, k, mod)[1]
         if s == 0:
             saw_undecidable = True
             continue
@@ -398,9 +401,7 @@ def _lift_unit_root(a: int, k: int, seed: int, p: int, level: int):
 def _verified_axb(alpha: int, beta: int, k: int, level: int, ctx: PContext,
                   target) -> RootResult:
     mod = ctx.p ** level
-    ak = pow(alpha, k, mod)
-    bk = _geometric_sum(alpha, k, mod) * beta % mod
-    if (ak, bk) != (target[0] % mod, target[1] % mod):
+    if _affine_power(alpha, beta, k, mod) != (target[0] % mod, target[1] % mod):
         raise InternalInvariantViolation("semidirect root failed the powering check")
     return RootResult.found((ResidueScalar(alpha % mod, level, ctx.p),
                              ResidueScalar(beta % mod, level, ctx.p)))

@@ -215,3 +215,18 @@ def test_a_catalog_group_without_a_dimension_rejects_one():
             GroupSpec(variant, CTX3, 2)
         assert analyze_subgroup(GroupSpec(variant, CTX3), GroupSpec(variant, CTX3), 5) \
             .relation == "inherited"
+
+
+def test_a_spot_root_that_is_not_found_breaks_the_verdict(monkeypatch):
+    import ppm.analyzer
+    from ppm.errors import InternalInvariantViolation
+    from ppm.roots import RootResult
+
+    for name in ("finite_root", "axb_root", "unipotent_root"):
+        monkeypatch.setattr(ppm.analyzer, name, lambda *args, **kw: RootResult.no_root(1))
+    specs = [GroupSpec(GL_ZP, CTX3, 2), GroupSpec(UNITS_ZP, CTX3), parse_group("AxB", CTX3),
+             GroupSpec(UPPER_UNIPOTENT_QP, CTX3, 2), GroupSpec(ADDITIVE_QP, CTX3, 1)]
+    for spec in specs:
+        assert analyze(spec, 5).conclusion == SURJECTIVE_AND_DENSE
+        with pytest.raises(InternalInvariantViolation):
+            analyze(spec, 5, spot_checks=1)

@@ -158,3 +158,22 @@ def test_a_table_missing_an_inverse_fails_the_closure_check():
     table = FiniteGroupTable(CTX3, 1, 2, (modmat.identity_mat(2), SHEAR), (SHEAR,))
     with pytest.raises(AssertionError):
         _verify_closure(table)
+
+
+def test_a_non_positive_level_is_rejected():
+    # level 0 was reported as "generator is singular mod p", -1 as a TypeError
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            enumerate_group([SHEAR], CTX5, level)
+
+
+def test_an_empty_generator_list_is_rejected():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        enumerate_group([], CTX5, 1)
+
+
+def test_a_negative_power_is_rejected_with_a_table_message():
+    table = enumerate_group([SHEAR], CTX5, 1)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        power_surjective(table, -1)
+    assert power_surjective(table, 0).image_size == 1

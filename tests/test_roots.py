@@ -292,3 +292,31 @@ def test_found_constructor_is_only_reachable_verified(monkeypatch):
     ctx = PContext(5, 3)
     with pytest.raises(InternalInvariantViolation):
         congruence_root(PadicApproxMatrix(ctx, 3, ((6,),)), 3)
+
+
+def test_a_non_positive_level_is_rejected():
+    # level 0 used to pass as "singular mod p", level -1 as a pow() TypeError,
+    # and finite_root at level <= 0 never returned: its lift never reaches it
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            PadicApproxMatrix(CTX3, level, ((2,),))
+    a = PadicApproxMatrix(CTX3, 3, ((4,),))
+    for solve in (congruence_root, finite_root):
+        for level in (0, -1):
+            with pytest.raises(ValueError, match="level must be >= 1"):
+                solve(a, 1, level=level)
+            with pytest.raises(ValueError, match="level must be >= 1"):
+                solve(((4,),), 1, CTX3, level)
+
+
+def test_axb_root_powers_in_logarithmic_time():
+    # a k-step geometric sum never finished at this k
+    k, p, level = 2 ** 61 - 1, 5, 10
+    mod = p ** level
+    res = axb_root((2, 1), k, CTX5, level)
+    assert res.status == FOUND
+    alpha, beta = res.root[0].value, res.root[1].value
+    assert pow(alpha, k, mod) == 2
+    assert (alpha - 1) % p  # a unit, so the geometric sum has the closed form
+    geometric_sum = (pow(alpha, k, mod) - 1) * pow(alpha - 1, -1, mod) % mod
+    assert geometric_sum * beta % mod == 1
