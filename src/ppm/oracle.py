@@ -2,11 +2,15 @@
 
 Everything here is brute force by design: these tables validate the
 coprimality criteria and the root machinery on honest finite quotients.
+A table is the Cayley graph of its generators, and powers are walked by
+applying an element's word as the generators' permutations.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 
 from . import modmat
 from .errors import CapExceeded
@@ -17,12 +21,51 @@ from .steinitz import Supernatural, _factor, coprime, general_linear_order
 def _code(mat, mod: int) -> int:
     """The entries, flattened row-major, as the digits of one base-mod
     integer. Entries lie in [0, mod), so codes sort exactly as the
-    flattened entry tuples do."""
+    flattened entry tuples do; the row codes are its base-mod^n digits."""
     code = 0
     for row in mat:
         for x in row:
             code = code * mod + x
     return code
+
+
+def _digits(code: int, count: int, mod: int) -> tuple:
+    """The last `count` base-mod digits of code, most significant first."""
+    out = ()
+    for _ in range(count):
+        code, x = divmod(code, mod)
+        out = (x,) + out
+    return out
+
+
+def _cayley(gens, n: int, mod: int, cap: int):
+    """Breadth-first search from 1 by right multiplication, to at most `cap` codes.
+    Returns (codes, parent, via, perms): codes in search order, x_i =
+    x_parent[i] · gens[via[i]] for i > 0, perms[g][i] the position of x_i · gens[g]."""
+    base = mod ** n
+    maps = [(g, tuple(zip(*gen)), {}, array("i")) for g, gen in enumerate(gens)]
+    codes = [_code(modmat.identity_mat(n), mod)]
+    pos = {codes[0]: 0}
+    parent, via = array("i", [-1]), array("i", [-1])
+    for i, x in enumerate(codes):  # codes grows as the search goes
+        rows = _digits(x, n, base)
+        for g, cols, row_map, perm in maps:  # row_map: row code -> code of row·g
+            y = 0
+            for r in rows:
+                if (ry := row_map.get(r)) is None:  # filled on first use: mod^n can be large
+                    row = _digits(r, n, mod)
+                    ry = row_map[r] = _code([[sum(map(mul, row, c)) % mod for c in cols]], mod)
+                y = y * base + ry
+            j = pos.get(y)
+            if j is None:
+                if len(codes) >= cap:
+                    raise CapExceeded(f"group closure exceeded cap {cap}")
+                j = pos[y] = len(codes)
+                codes.append(y)
+                parent.append(i)
+                via.append(g)
+            perm.append(j)
+    return codes, parent, via, [m[3] for m in maps]
 
 
 @dataclass(frozen=True)
@@ -31,9 +74,9 @@ class FiniteGroupTable:
 
     elements are sorted by their flattened row-major entries, so tables
     are reproducible; membership is a lookup of the element's code.
-    Closure under products holds structurally (breadth-first fixpoint).
-    Closure under inverses is checked on construction by the cyclic
-    walks, which also give every power of every element (``_cycles``).
+    Closure under products holds structurally (a search to a fixpoint).
+    Closure under inverses is checked by the cyclic walks, which also give
+    every power of every element (``_cycles``); the graph is not kept.
     """
 
     ctx: PContext
@@ -58,47 +101,49 @@ class FiniteGroupTable:
                                {_code(m, mod): i for i, m in enumerate(self.elements)})
         return self._idx
 
-    def _cycles(self):
-        """The cyclic walks through the table, built and checked on first use.
-
-        From each element y that no earlier walk passed, walk 1, y, y^2, ...
-        by multiplication until the walk returns to 1. Every power must be
-        in the table, so y^(d-1) is, and y * y^(d-1) = 1: each element on a
-        walk has its inverse in the table. Returns (walk, step, start,
-        flat), arrays of element positions: element i is y^step[i] for the
-        walk w = walk[i] of y, whose powers 1, y, ..., y^(d-1) are
-        flat[start[w]:start[w + 1]].
-        """
+    def _cycles(self, graph=None):
+        """The cyclic walks, built once from the Cayley graph (searched afresh if
+        not given: it must reach exactly the elements). From each y, in table
+        order, that no walk passed yet, walk 1, y, y^2, ... back to 1, a step
+        applying y's word as permutations. Returns (walk, step, start, flat):
+        element i is y^step[i] for the walk w = walk[i] of y, whose powers
+        1, y, ..., y^(d-1) are at flat[start[w]:start[w + 1]]."""
         if hasattr(self, "_walks"):
             return self._walks
-        mod = self.ctx.p ** self.level
         index = self._index()
-        size = len(self.elements)
-        one = index.get(_code(modmat.identity_mat(self.n), mod))
-        if one is None:
-            raise AssertionError("table does not contain the identity")
-        walk = array("i", [-1]) * size
-        step = array("i", [0]) * size
+        if graph is None:
+            try:
+                graph = _cayley(self.generators, self.n, self.ctx.p ** self.level, self.order)
+            except CapExceeded:
+                graph = ((),)  # the generators reach past the table
+            if len(graph[0]) < self.order or not all(c in index for c in graph[0]):
+                raise AssertionError("the generators do not generate exactly the table")
+        codes, parent, via, perms = graph
+        rank = array("i", map(index.__getitem__, codes))  # search -> table position
+        one, size = rank[0], len(rank)
+        found = array("i", [0]) * size  # table -> search position
+        for x, i in enumerate(rank):
+            found[i] = x
+        walk, step = array("i", [-1]) * size, array("i", [0]) * size
         walk[one] = 0
         start, flat = array("i", [0]), array("i", [one])  # walk 0 is the walk of 1
-        for i, y in enumerate(self.elements):
+        for i, x in enumerate(found):
             if walk[i] >= 0:
                 continue
-            w = len(start)
+            word, b = [], x
+            while b:  # x_b = x_parent[b] · gens[via[b]]
+                word, b = [perms[via[b]]] + word, parent[b]
             start.append(len(flat))
             flat.append(one)
-            x = y
             for j in range(1, size + 1):
-                pos = index.get(_code(x, mod))
-                if pos is None:
-                    raise AssertionError("table is not closed under powers, so not "
-                                         "under inversion")
-                if pos == one:
+                if x == 0:  # back at 1, the search's first element
                     break
+                pos = rank[x]
                 flat.append(pos)
                 if walk[pos] < 0:
-                    walk[pos], step[pos] = w, j
-                x = modmat.mat_mul(x, y, mod)
+                    walk[pos], step[pos] = len(start) - 1, j
+                for perm in word:
+                    x = perm[x]
             else:
                 raise AssertionError("a power walk does not return to 1: the table "
                                      "is not closed under inversion")
@@ -108,46 +153,31 @@ class FiniteGroupTable:
 
 
 def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> FiniteGroupTable:
-    """Breadth-first closure of the identity under right multiplication by
-    the generators, keyed by element codes. In a finite group that is the
-    generated subgroup, since g^-1 = g^(ord g - 1); the cyclic walks then
-    check closure under inverses, and the order must divide
-    |GL(n, Z/p^m)|."""
+    """The subgroup generated by gens (in a finite group, g^-1 = g^(ord g - 1)),
+    by ``_cayley``'s search. Its walks are built from the graph, which is then
+    dropped; they check closure under inverses. The order must divide |GL(n, Z/p^m)|."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if not gens:
         raise ValueError("need at least one generator")
-    p = ctx.p
-    mod = p ** level
-    n = len(gens[0])
-    gens = [modmat.reduce_mat(g, mod) for g in gens]
-    for g in gens:
-        if not modmat.invertible_mod(g, p):
-            raise ValueError("generator is singular mod p")
-    ident = modmat.identity_mat(n)
-    seen = {_code(ident, mod): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = modmat.mat_mul(x, g, mod)
-                code = _code(y, mod)
-                if code not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"group closure exceeded cap {cap}")
-                    seen[code] = y
-                    nxt.append(y)
-        frontier = nxt
-    elements = tuple(seen[c] for c in sorted(seen))
-    del seen  # the table indexes its elements afresh, by position
-    table = FiniteGroupTable(ctx, level, n, elements, tuple(gens))
-    _verify_closure(table)
+    p, mod, n = ctx.p, ctx.p ** level, len(gens[0])
+    if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+        raise ValueError("every generator must be n x n")
+    gens = tuple(modmat.reduce_mat(g, mod) for g in gens)
+    if not all(modmat.invertible_mod(g, p) for g in gens):
+        raise ValueError("generator is singular mod p")
+    graph = _cayley(gens, n, mod, cap)
+    codes = sorted(graph[0])
+    row = cache(lambda r: _digits(r, n, mod))  # one tuple per distinct row
+    elements = tuple(tuple(map(row, _digits(c, n, mod ** n))) for c in codes)
+    table = FiniteGroupTable(ctx, level, n, elements, gens)
+    object.__setattr__(table, "_idx", {c: i for i, c in enumerate(codes)})
+    _verify_closure(table, graph)
     return table
 
 
-def _verify_closure(table: FiniteGroupTable):
-    table._cycles()  # raises unless every element's inverse is in the table
+def _verify_closure(table: FiniteGroupTable, graph=None):
+    table._cycles(graph)  # raises unless every element's inverse is in the table
     full = general_linear_order(table.n, table.ctx.p) \
         * table.ctx.p ** (table.n * table.n * (table.level - 1))
     if full % len(table.elements):
@@ -164,7 +194,7 @@ def power_surjective(table: FiniteGroupTable, k: int) -> PowerImage:
     """Compute {x^k} exhaustively; surjective iff the image is everything.
 
     x = y^j on a walk of length d has x^k = y^(jk mod d), which the walk
-    holds: every power is read off a multiplication already made."""
+    holds: every power is read off a walk step already made."""
     if k < 0:
         raise ValueError("k must be non-negative")
     walk, step, start, flat = table._cycles()

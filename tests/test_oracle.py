@@ -7,6 +7,7 @@ from ppm import modmat
 from ppm.errors import CapExceeded
 from ppm.oracle import FiniteGroupTable, _verify_closure, enumerate_group, full_gl_generators, \
     is_subgroup, lagrange_consistent, power_surjective, unit_group_generators, validate_f1
+from ppm.oracle import _code
 from ppm.qpcore import PContext
 from ppm.steinitz import general_linear_order
 
@@ -177,3 +178,75 @@ def test_a_negative_power_is_rejected_with_a_table_message():
     with pytest.raises(ValueError, match="k must be non-negative"):
         power_surjective(table, -1)
     assert power_surjective(table, 0).image_size == 1
+
+
+def test_generators_of_mixed_sizes_are_rejected():
+    # they were multiplied anyway and failed with "a power walk does not return to 1"
+    for gens in ([SHEAR, ((2,),)], [((1, 1), (0,))]):
+        with pytest.raises(ValueError, match="every generator must be n x n"):
+            enumerate_group(gens, CTX5, 1)
+
+
+def _reference_table(gens, p, level):
+    """The table as it was built before the Cayley graph: a breadth-first
+    closure by modmat.mat_mul, then the cyclic walks 1, y, y^2, ... by
+    mat_mul, each y taken in table order unless an earlier walk passed it.
+    Returns the sorted elements and the walks (walk, step, start, flat)."""
+    mod = p ** level
+    gens = [modmat.reduce_mat(g, mod) for g in gens]
+    ident = modmat.identity_mat(len(gens[0]))
+    seen, frontier = {_code(ident, mod): ident}, [ident]
+    while frontier:
+        nxt = []
+        for y in (modmat.mat_mul(x, g, mod) for x in frontier for g in gens):
+            if _code(y, mod) not in seen:
+                seen[_code(y, mod)] = y
+                nxt.append(y)
+        frontier = nxt
+    elements = tuple(seen[c] for c in sorted(seen))
+    index = {_code(m, mod): i for i, m in enumerate(elements)}
+    one = index[_code(ident, mod)]
+    walk, step = [-1] * len(elements), [0] * len(elements)
+    walk[one] = 0
+    start, flat = [0], [one]
+    for i, y in enumerate(elements):
+        if walk[i] >= 0:
+            continue
+        start.append(len(flat))
+        flat.append(one)
+        x, j = y, 1
+        while (pos := index[_code(x, mod)]) != one:
+            flat.append(pos)
+            if walk[pos] < 0:
+                walk[pos], step[pos] = len(start) - 1, j
+            x, j = modmat.mat_mul(x, y, mod), j + 1
+    start.append(len(flat))
+    return elements, (walk, step, start, flat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=small_tables())
+def test_the_cayley_graph_table_is_the_matrix_product_table(table):
+    elements, walks = _reference_table(table.generators, table.ctx.p, table.level)
+    assert table.elements == elements
+    assert [list(a) for a in table._cycles()] == [list(a) for a in walks]
+
+
+def test_a_hand_built_copy_walks_as_the_enumerated_table_does():
+    table = enumerate_group(full_gl_generators(2, 3, 1), CTX3, 1)
+    copy = FiniteGroupTable(CTX3, 1, 2, table.elements, table.generators)
+    assert [list(a) for a in copy._cycles()] == [list(a) for a in table._cycles()]
+
+
+def test_a_hand_built_table_must_be_exactly_what_its_generators_generate():
+    gl = enumerate_group(full_gl_generators(2, 3, 1), CTX3, 1)
+    lower = ((1, 0), (1, 1))
+    cases = (
+        FiniteGroupTable(CTX3, 1, 2, gl.elements, (SHEAR,)),  # a group, not <SHEAR>
+        FiniteGroupTable(CTX3, 1, 2, gl.elements[:-1], gl.generators),  # one element short
+        FiniteGroupTable(CTX3, 1, 2, enumerate_group([SHEAR], CTX3, 1).elements, (lower,)),
+    )
+    for table in cases:
+        # an AssertionError, not the CapExceeded of the search capped at the table's order
+        with pytest.raises(AssertionError, match="do not generate exactly the table"):
+            _verify_closure(table)
