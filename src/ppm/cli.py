@@ -105,15 +105,19 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _load_matrix(args, path):
+def _load(args, path):
+    """(the input document, its PContext under the -p and --precision flags)."""
     doc = matio.load_document(path)
-    ctx = matio.context_of(doc, args.p, args.precision)
+    return doc, matio.context_of(doc, args.p, args.precision)
+
+
+def _load_matrix(args, path):
+    doc, ctx = _load(args, path)
     return ctx, matio.matrix_from_doc(doc)
 
 
 def _load_gens(args, path):
-    doc = matio.load_document(path)
-    ctx = matio.context_of(doc, args.p, args.precision)
+    doc, ctx = _load(args, path)
     return ctx, GeneratorSet.of(ctx, matio.gens_from_doc(doc))
 
 
@@ -193,8 +197,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_root(args) -> int:
     if args.kind == "axb":
-        doc = matio.load_document(args.input)
-        ctx = matio.context_of(doc, args.p, args.precision)
+        doc, ctx = _load(args, args.input)
         try:
             elem = (matio.parse_scalar(str(doc["a"])), matio.parse_scalar(str(doc["b"])))
         except KeyError as exc:
@@ -235,8 +238,7 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc = matio.load_document(args.gens)
-    ctx = matio.context_of(doc, args.p, args.precision)
+    doc, ctx = _load(args, args.gens)
     mats = matio.gens_from_doc(doc)
     int_gens = [tuple(tuple(reduce_mod(x, args.level, ctx).value for x in row)
                       for row in g.rows) for g in mats]

@@ -614,11 +614,7 @@ def _local_snf(ctx: PContext, a, want_transform: bool):
                 if u is not None:
                     for r in range(n):  # U <- U * (I + q E_{i,t})
                         u[r][t] += q * u[r][i]
-        for j in range(t + 1, n):
-            if a[t][j] != 0:
-                q = a[t][j] / piv
-                for i in range(t, n):
-                    a[i][j] -= q * a[i][t]
+        # row t is not cleared right of the pivot: it is never read again
         exps.append(bestv)
     assert all(x <= y for x, y in zip(exps, exps[1:]))
     return tuple(exps), (QMatrix(u) if want_transform else None)

@@ -2,8 +2,8 @@
 
 Roots inside compact p-adic groups are generally irrational, so they are
 returned at residue precision; roots of unipotent matrices are exact
-rationals. Every Found root is re-verified by powering before it is
-returned, exactly or mod p^level.
+rationals. Every Found root is re-verified by powering. One lifting
+search serves finite quotients and the unit part of the ax+b group.
 """
 from __future__ import annotations
 
@@ -122,16 +122,16 @@ def unipotent_root(u: QMatrix, k: int) -> RootResult:
 
 
 def _as_approx(a, ctx: Optional[PContext], level: Optional[int]):
-    """(a as a PadicApproxMatrix, its context, the working level). A
-    PadicApproxMatrix brings its own context and default level, and
-    bounds the level: past it the entries are unknown."""
+    """(a as a PadicApproxMatrix reduced mod p^level, its context, the
+    working level). A PadicApproxMatrix brings its own context and default
+    level, and bounds the level: past it the entries are unknown."""
     if level is not None and level < 1:
         raise ValueError("level must be >= 1")
     if isinstance(a, PadicApproxMatrix):
         if level is not None and level > a.level:
             raise PrecisionExhausted(
                 f"matrix is known mod {a.ctx.p}^{a.level}, not mod {a.ctx.p}^{level}")
-        return a, a.ctx, a.level if level is None else level
+        a, ctx, level = a.entries, a.ctx, a.level if level is None else level
     if ctx is None:
         raise ValueError("need a PContext")
     if level is None:
@@ -171,18 +171,28 @@ def congruence_root(a, k: int, ctx: Optional[PContext] = None,
     return RootResult.found(PadicApproxMatrix(ctx, level, x))
 
 
-def _ad_sum_operator(x: modmat.Mat, k: int, p: int) -> list:
-    """Matrix over F_p of Y -> sum_{i<k} X^{-i} Y X^i on n x n matrices."""
+def _ad_sum_operator(x: modmat.Mat, k: int, p: int) -> modmat.Mat:
+    """Matrix over F_p of Y -> sum_{i<k} T^i(Y) on n x n matrices, T = Ad(X^{-1}):
+    Y -> X^{-1} Y X, by doubling on (T^j, sum_{i<j} T^i) in about log2(k) steps."""
     n = len(x)
     xinv = modmat.mat_inv(x, p, 1)
-    powers = [(modmat.identity_mat(n), modmat.identity_mat(n))]
-    for _ in range(k - 1):
-        prev_inv, prev = powers[-1]
-        powers.append((modmat.mat_mul(prev_inv, xinv, p), modmat.mat_mul(prev, x, p)))
-    # entry (r, c) of X^{-i} E_ab X^i is X^{-i}[r][a] X^i[b][c]; rows and
+    # entry (r, c) of X^{-1} E_ab X is X^{-1}[r][a] X[b][c]; rows and
     # columns are indexed by (r, c) and by the basis matrix E_ab, row-major
-    return [[sum(xi[r][a] * xp[b][c] for xi, xp in powers) % p
-             for a in range(n) for b in range(n)] for r in range(n) for c in range(n)]
+    t = tuple(tuple(xinv[r][a] * x[b][c] % p for a in range(n) for b in range(n))
+              for r in range(n) for c in range(n))
+    power, total = t, modmat.identity_mat(n * n)
+    for bit in bin(k)[3:]:
+        # j -> 2j: sum_{i<2j} T^i = S + T^j S; then j -> j + 1 adds T^j
+        total = _mat_add(total, modmat.mat_mul(power, total, p), p)
+        power = modmat.mat_mul(power, power, p)
+        if bit == "1":
+            total = _mat_add(total, power, p)
+            power = modmat.mat_mul(power, t, p)
+    return total
+
+
+def _mat_add(a: modmat.Mat, b: modmat.Mat, mod: int) -> modmat.Mat:
+    return tuple(tuple((u + v) % mod for u, v in zip(r, s)) for r, s in zip(a, b))
 
 
 def _affine_solutions(mat: list, rhs: list, p: int):
@@ -234,68 +244,75 @@ def _mod_p_roots(t: modmat.Mat, k: int, p: int) -> list:
     return sorted(x for x in centralizer if modmat.mat_pow(x, k, p) == t)
 
 
-def finite_root(a, k: int, ctx: Optional[PContext] = None,
-                level: Optional[int] = None) -> RootResult:
-    """k-th root of an invertible matrix mod p^level by exhaustive mod-p
-    search plus level-by-level linear lifting.
+def _lifted_roots(target: modmat.Mat, k: int, p: int, level: int):
+    """Yields every X mod p^level with X^k = target (reduced mod p^level),
+    each once, in branch order; returns the deepest level where a branch died.
 
-    All mod-p roots are explored before declaring NO_ROOT, because a lift
-    can die along one branch and survive along another. Branches are
-    visited in lexicographic candidate order, so the Found answer is
-    deterministic. The mod-p roots are drawn from the centralizer of the
-    target (``_mod_p_roots``); a centralizer past 10^6 elements, or more
-    than _NODE_CAP lift branches, raises CapExceeded.
+    The seeds ``_mod_p_roots`` finds mod p are lifted one level at a time
+    by a linear system over F_p; a lift can die along one branch and
+    survive along another. Seeds and lifts go in lexicographic order. More
+    than _NODE_CAP lift branches raises CapExceeded.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    a, ctx, level = _as_approx(a, ctx, level)
-    p, n = ctx.p, a.n
-    target_p = modmat.reduce_mat(a.entries, p)
-    seeds = _mod_p_roots(target_p, k, p)
-    if not seeds:
-        return RootResult.no_root(1)
+    n = len(target)
+    target_p = modmat.reduce_mat(target, p)
     # every node x above a seed has x = seed and x^k = target_p mod p, so
     # X^(-k) mod p is target_p^(-1) and the Ad-sum operator is the seed's
     target_inv = modmat.mat_inv(target_p, p, 1)
     operators = {}
     deepest_death = 1
     nodes = 0
-    stack = [(x, 1, x) for x in reversed(seeds)]
+    stack = [(x, 1, x) for x in reversed(_mod_p_roots(target_p, k, p))]
     while stack:
         x, m, seed = stack.pop()
         nodes += 1
         if nodes > _NODE_CAP:
-            raise CapExceeded(f"finite_root explored more than {_NODE_CAP} branches")
+            raise CapExceeded(f"the root search explored more than {_NODE_CAP} branches")
         if m == level:
-            mod = p ** level
-            if modmat.mat_pow(x, k, mod) != a.entries:
-                raise InternalInvariantViolation("finite root failed the powering check")
-            return RootResult.found(PadicApproxMatrix(ctx, level, x))
+            yield x
+            continue
         mod_next = p ** (m + 1)
         xk = modmat.mat_pow(x, k, mod_next)
         step = p ** m
+        # the target is reduced mod p^level, a multiple of mod_next
         diff = tuple(tuple((ae - xe) % mod_next for ae, xe in zip(ra, rx))
-                     for ra, rx in zip(modmat.reduce_mat(a.entries, mod_next), xk))
-        if any(d % step for row in diff for d in row):
-            deepest_death = max(deepest_death, m)
-            continue
-        # solve X^k * T(Y) = D with T the Ad-power sum; fold X^{-k} into D
-        d_mat = modmat.mat_mul(target_inv,
-                               tuple(tuple((d // step) % p for d in row) for row in diff), p)
-        op = operators.get(seed)
-        if op is None:  # built when the seed is first expanded
-            op = operators[seed] = _ad_sum_operator(seed, k, p)
-        rhs = [d_mat[i][j] for i in range(n) for j in range(n)]
+                     for ra, rx in zip(target, xk))
         lifts = []
-        for yvec in _affine_solutions(op, rhs, p):
-            y = tuple(tuple(yvec[i * n + j] for j in range(n)) for i in range(n))
-            xy = modmat.mat_mul(x, y, p)  # X(1 + p^m Y) = X + p^m (XY mod p) mod p^(m+1)
-            lifts.append((tuple(tuple((u + step * v) % mod_next for u, v in zip(r, s))
-                                for r, s in zip(x, xy)), m + 1, seed))
-        if not lifts:  # inconsistent: this branch dies here
+        if not any(d % step for row in diff for d in row):
+            # solve X^k * T(Y) = D with T the Ad-power sum; fold X^{-k} into D
+            d_mat = modmat.mat_mul(
+                target_inv, tuple(tuple((d // step) % p for d in row) for row in diff), p)
+            op = operators.get(seed)
+            if op is None:  # built when the seed is first expanded
+                op = operators[seed] = _ad_sum_operator(seed, k, p)
+            for y in _affine_solutions(op, [d for row in d_mat for d in row], p):
+                # X(1 + p^m Y) = X + p^m (XY mod p) mod p^(m+1)
+                xy = modmat.mat_mul(x, tuple(tuple(y[i * n:(i + 1) * n]) for i in range(n)), p)
+                lifts.append((tuple(tuple((u + step * v) % mod_next for u, v in zip(r, s))
+                                    for r, s in zip(x, xy)), m + 1, seed))
+        if not lifts:  # x^k misses the target mod p^(m+1), or the system is inconsistent
             deepest_death = max(deepest_death, m)
         stack.extend(sorted(lifts, reverse=True))
-    return RootResult.no_root(deepest_death)
+    return deepest_death
+
+
+def finite_root(a, k: int, ctx: Optional[PContext] = None,
+                level: Optional[int] = None) -> RootResult:
+    """k-th root of an invertible matrix mod p^level: the first root the
+    lifting search ``_lifted_roots`` yields, re-verified by powering, or
+    NO_ROOT at the deepest level where a branch died once every branch is
+    explored. A centralizer mod p past 10^6 elements, or more than
+    _NODE_CAP lift branches, raises CapExceeded.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    a, ctx, level = _as_approx(a, ctx, level)
+    try:
+        x = next(_lifted_roots(a.entries, k, ctx.p, level))
+    except StopIteration as dead:
+        return RootResult.no_root(dead.value)
+    if modmat.mat_pow(x, k, ctx.p ** level) != a.entries:
+        raise InternalInvariantViolation("finite root failed the powering check")
+    return RootResult.found(PadicApproxMatrix(ctx, level, x))
 
 
 def _affine_power(alpha: int, beta: int, k: int, mod: int):
@@ -310,8 +327,9 @@ def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootRe
 
     Power formula: (a, b)^k = (a^k, (1 + a + ... + a^{k-1}) b), the
     k-th power of the affine matrix ((a, b), (0, 1)). Every k-th root
-    alpha of a is tried; the unipotent coordinate needs the geometric sum
-    to be invertible enough to divide b.
+    alpha of a mod p^level, from ``finite_root``'s search on the 1 x 1
+    matrix (a) and with its caps, is tried in ascending order; the unipotent
+    coordinate needs the geometric sum to be invertible enough to divide b.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -324,9 +342,7 @@ def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootRe
     if a_res % p == 0:
         raise BadDomain("first coordinate must be a unit")
     mod = p ** level
-    alphas = _unit_roots(a_res, k, ctx, level)
-    if not alphas:
-        return RootResult.no_root(level)
+    alphas = sorted(x[0][0] for x in _lifted_roots(((a_res,),), k, p, level))
     obstructions = []
     saw_undecidable = False
     for alpha in alphas:
@@ -356,46 +372,6 @@ def axb_root(elem, k: int, ctx: PContext, level: Optional[int] = None) -> RootRe
     if obstructions:
         return RootResult.obstructed("; ".join(obstructions))
     return RootResult.no_root(level)
-
-
-def _unit_roots(a: int, k: int, ctx: PContext, level: int):
-    """All k-th roots of a unit mod p^level, ascending."""
-    p = ctx.p
-    mod = p ** level
-    roots = []
-    seeds = [x for x in range(1, p) if pow(x, k, p) == a % p]
-    for seed in seeds:
-        found = _lift_unit_root(a, k, seed, p, level)
-        roots.extend(found)
-    return sorted(set(r % mod for r in roots))
-
-
-def _lift_unit_root(a: int, k: int, seed: int, p: int, level: int):
-    """Lift x^k = a from a mod-p seed through all levels (branching DFS)."""
-    out = []
-    stack = [(seed, 1)]
-    while stack:
-        x, m = stack.pop()
-        if m == level:
-            out.append(x)
-            continue
-        mod_next = p ** (m + 1)
-        step = p ** m
-        diff = (a - pow(x, k, mod_next)) % mod_next
-        if diff % step:
-            continue
-        d = (diff // step) % p
-        # derivative k * x^{k-1}; invertible unless p | k
-        deriv = k * pow(x, k - 1, p) % p
-        if deriv:
-            t = d * pow(deriv, -1, p) % p
-            stack.append((x + t * step, m + 1))
-        else:
-            if d == 0:
-                for t in range(p):
-                    stack.append((x + t * step, m + 1))
-            # else: branch dies
-    return out
 
 
 def _verified_axb(alpha: int, beta: int, k: int, level: int, ctx: PContext,

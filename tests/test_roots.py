@@ -320,3 +320,65 @@ def test_axb_root_powers_in_logarithmic_time():
     assert (alpha - 1) % p  # a unit, so the geometric sum has the closed form
     geometric_sum = (pow(alpha, k, mod) - 1) * pow(alpha - 1, -1, mod) % mod
     assert geometric_sum * beta % mod == 1
+
+
+def test_finite_root_sums_the_ad_powers_in_logarithmic_time():
+    # the Ad-sum operator used to take k - 1 products: this call never returned
+    k, p, level = 2 ** 61 - 1, 5, 2
+    res = finite_root(((2,),), k, PContext(p), level)
+    assert res.status == FOUND
+    assert pow(res.root.entries[0][0], k, p ** level) == 2
+
+
+def test_axb_root_past_the_seed_cap_is_inconclusive(tmp_path):
+    # the unit part's seeds are all 1,000,003 residues: past the seed cap,
+    # where a plain scan of every residue used to run unbounded in p
+    from ppm.cli import EXIT_INCONCLUSIVE, main
+    with pytest.raises(CapExceeded):
+        axb_root((2, 1), 3, PContext(1_000_003), 2)
+    axb = tmp_path / "axb.json"
+    axb.write_text('{"p": 1000003, "a": "2", "b": "1"}')
+    assert main(["root", "--kind", "axb", "-k", "3", "--level", "2",
+                 str(axb)]) == EXIT_INCONCLUSIVE
+
+
+@st.composite
+def unit_targets(draw):
+    """(a, k, p, m): a a unit mod p^m, p in {2, 3, 5}, m <= 4, k <= 12, so p | k
+    comes up; half of them k-th powers."""
+    p, m, k = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    a = draw(st.integers(1, p ** m - 1).filter(lambda x: x % p))
+    return (pow(a, k, p ** m) if draw(st.booleans()) else a), k, p, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=unit_targets())
+def test_axb_root_tries_every_unit_root_in_ascending_order(case):
+    from ppm import roots as roots_mod
+    a, k, p, m = case
+    mod = p ** m
+    brute = [x for x in range(mod) if x % p and pow(x, k, mod) == a]
+    tried = []
+
+    def recording(alpha, beta, k, mod):
+        tried.append(alpha)
+        return pow(alpha, k, mod), 0  # a vanishing geometric sum: go to the next root
+
+    real, roots_mod._affine_power = roots_mod._affine_power, recording
+    try:
+        assert axb_root((a, 0), k, PContext(p), m).status == NO_ROOT
+    except PrecisionExhausted:  # raised after the last root, when there was one
+        assert brute
+    finally:
+        roots_mod._affine_power = real
+    assert tried == brute
+
+
+def test_a_level_below_the_known_level_reduces_the_target():
+    # 19 is known mod 3^3; mod 3^2 it is 1, whose square roots are +-1. The
+    # target used to be compared unreduced, so the powering check failed
+    a = PadicApproxMatrix(CTX3, 3, ((19,),))
+    for solve in (congruence_root, finite_root):
+        res = solve(a, 2, level=2)
+        assert res.status == FOUND and res.root.level == 2
+        assert modmat.mat_pow(res.root.entries, 2, 9) == ((1,),)
