@@ -2,14 +2,15 @@
 
 Everything here is brute force by design: these tables validate the
 coprimality criteria and the root machinery on honest finite quotients.
-A table is the Cayley graph of its generators, and powers are walked by
-applying an element's word as the generators' permutations.
+A table is the Cayley graph of its generators on row-code tuples; powers are
+walked by applying an element's word as the generators' permutations.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from math import gcd
 from operator import mul
 
 from . import modmat
@@ -29,6 +30,10 @@ def _code(mat, mod: int) -> int:
     return code
 
 
+def _key(mat, mod: int) -> tuple:  # the row codes: keys sort as codes do
+    return tuple(_code((row,), mod) for row in mat)
+
+
 def _digits(code: int, count: int, mod: int) -> tuple:
     """The last `count` base-mod digits of code, most significant first."""
     out = ()
@@ -38,92 +43,105 @@ def _digits(code: int, count: int, mod: int) -> tuple:
     return out
 
 
+class _RowMap(dict):
+    """row code -> code of row·g for one generator g, filled on first
+    use: a search meets few of the mod^n rows."""
+
+    def __init__(self, gen, mod: int):
+        super().__init__()
+        self.cols, self.mod = tuple(zip(*gen)), mod
+
+    def __missing__(self, r: int) -> int:
+        row, y = _digits(r, len(self.cols), self.mod), 0
+        for c in self.cols:
+            y = y * self.mod + sum(map(mul, row, c)) % self.mod
+        self[r] = y
+        return y
+
+
 def _cayley(gens, n: int, mod: int, cap: int):
-    """Breadth-first search from 1 by right multiplication, to at most `cap` codes.
-    Returns (codes, parent, via, perms): codes in search order, x_i =
-    x_parent[i] · gens[via[i]] for i > 0, perms[g][i] the position of x_i · gens[g]."""
-    base = mod ** n
-    maps = [(g, tuple(zip(*gen)), {}, array("i")) for g, gen in enumerate(gens)]
-    codes = [_code(modmat.identity_mat(n), mod)]
-    pos = {codes[0]: 0}
+    """Breadth-first search from 1 by right multiplication, to at most `cap` keys.
+    Returns (keys, pos, parent, via, perms): keys in search order and by position,
+    x_i = x_parent[i] · gens[via[i]] for i > 0, perms[g][i] the position of x_i · gens[g]."""
+    maps = [(g, _RowMap(gen, mod).__getitem__, array("i")) for g, gen in enumerate(gens)]
+    keys = [_key(modmat.identity_mat(n), mod)]
+    pos = {keys[0]: 0}
     parent, via = array("i", [-1]), array("i", [-1])
-    for i, x in enumerate(codes):  # codes grows as the search goes
-        rows = _digits(x, n, base)
-        for g, cols, row_map, perm in maps:  # row_map: row code -> code of row·g
-            y = 0
-            for r in rows:
-                if (ry := row_map.get(r)) is None:  # filled on first use: mod^n can be large
-                    row = _digits(r, n, mod)
-                    ry = row_map[r] = _code([[sum(map(mul, row, c)) % mod for c in cols]], mod)
-                y = y * base + ry
+    for i, rows in enumerate(keys):  # keys grows as the search goes
+        for g, row_g, perm in maps:
+            y = tuple(map(row_g, rows))
             j = pos.get(y)
             if j is None:
-                if len(codes) >= cap:
+                if len(keys) >= cap:
                     raise CapExceeded(f"group closure exceeded cap {cap}")
-                j = pos[y] = len(codes)
-                codes.append(y)
+                j = pos[y] = len(keys)
+                keys.append(y)
                 parent.append(i)
                 via.append(g)
             perm.append(j)
-    return codes, parent, via, [m[3] for m in maps]
+    return keys, pos, parent, via, [m[2] for m in maps]
 
 
-@dataclass(frozen=True)
 class FiniteGroupTable:
     """The subgroup of GL(n, Z/p^m) generated by the given matrices.
 
-    elements are sorted by their flattened row-major entries, so tables
-    are reproducible; membership is a lookup of the element's code.
+    The table is its keys (``_key``): sorted when enumerated, as the flattened
+    row-major entries sort, and in the order given when hand-built. Elements
+    are decoded from the keys when first read, the index for membership built.
     Closure under products holds structurally (a search to a fixpoint).
     Closure under inverses is checked by the cyclic walks, which also give
     every power of every element (``_cycles``); the graph is not kept.
     """
 
-    ctx: PContext
-    level: int
-    n: int
-    elements: tuple
-    generators: tuple
+    def __init__(self, ctx: PContext, level: int, n: int, elements, generators):
+        self.ctx, self.level, self.n, self.generators = ctx, level, n, generators
+        self.elements = elements  # as given: it shadows the decoding property
+        self._keys = tuple(_key(m, ctx.p ** level) for m in elements)
+
+    @cached_property
+    def elements(self) -> tuple:
+        row = cache(lambda r: _digits(r, self.n, self.ctx.p ** self.level))  # shared rows
+        return tuple(tuple(map(row, key)) for key in self._keys)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def __contains__(self, mat) -> bool:
         mod = self.ctx.p ** self.level
-        return _code(modmat.reduce_mat(mat, mod), mod) in self._index()
+        return _key(modmat.reduce_mat(mat, mod), mod) in self._index
 
+    @cached_property
     def _index(self) -> dict:
-        """code -> position in elements; a soft cache built on first use."""
-        if not hasattr(self, "_idx"):
-            mod = self.ctx.p ** self.level
-            object.__setattr__(self, "_idx",
-                               {_code(m, mod): i for i, m in enumerate(self.elements)})
-        return self._idx
+        """key -> position in the table."""
+        return {key: i for i, key in enumerate(self._keys)}
+
+    @cached_property
+    def _order_factors(self) -> Supernatural:
+        return Supernatural.from_int(self.order)
 
     def _cycles(self, graph=None):
         """The cyclic walks, built once from the Cayley graph (searched afresh if
-        not given: it must reach exactly the elements). From each y, in table
+        not given: it must reach exactly the keys). From each y, in table
         order, that no walk passed yet, walk 1, y, y^2, ... back to 1, a step
         applying y's word as permutations. Returns (walk, step, start, flat):
         element i is y^step[i] for the walk w = walk[i] of y, whose powers
         1, y, ..., y^(d-1) are at flat[start[w]:start[w + 1]]."""
         if hasattr(self, "_walks"):
             return self._walks
-        index = self._index()
         if graph is None:
             try:
                 graph = _cayley(self.generators, self.n, self.ctx.p ** self.level, self.order)
             except CapExceeded:
-                graph = ((),)  # the generators reach past the table
-            if len(graph[0]) < self.order or not all(c in index for c in graph[0]):
+                graph = ((), {})  # the generators reach past the table
+            if len(graph[0]) < self.order or not all(c in graph[1] for c in self._keys):
                 raise AssertionError("the generators do not generate exactly the table")
-        codes, parent, via, perms = graph
-        rank = array("i", map(index.__getitem__, codes))  # search -> table position
+        _, pos, parent, via, perms = graph
+        found = array("i", map(pos.__getitem__, self._keys))  # table -> search position
+        rank = array("i", [0]) * self.order  # search -> table position
+        for i, x in enumerate(found):
+            rank[x] = i
         one, size = rank[0], len(rank)
-        found = array("i", [0]) * size  # table -> search position
-        for x, i in enumerate(rank):
-            found[i] = x
         walk, step = array("i", [-1]) * size, array("i", [0]) * size
         walk[one] = 0
         start, flat = array("i", [0]), array("i", [one])  # walk 0 is the walk of 1
@@ -138,24 +156,25 @@ class FiniteGroupTable:
             for j in range(1, size + 1):
                 if x == 0:  # back at 1, the search's first element
                     break
-                pos = rank[x]
-                flat.append(pos)
-                if walk[pos] < 0:
-                    walk[pos], step[pos] = len(start) - 1, j
+                at = rank[x]
+                flat.append(at)
+                if walk[at] < 0:
+                    walk[at], step[at] = len(start) - 1, j
                 for perm in word:
                     x = perm[x]
             else:
                 raise AssertionError("a power walk does not return to 1: the table "
                                      "is not closed under inversion")
         start.append(len(flat))
-        object.__setattr__(self, "_walks", (walk, step, start, flat))
+        self._walks = (walk, step, start, flat)
         return self._walks
 
 
 def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> FiniteGroupTable:
     """The subgroup generated by gens (in a finite group, g^-1 = g^(ord g - 1)),
-    by ``_cayley``'s search. Its walks are built from the graph, which is then
-    dropped; they check closure under inverses. The order must divide |GL(n, Z/p^m)|."""
+    by ``_cayley``'s search, with its keys sorted. Its walks are built from the
+    graph, which is then dropped; they check closure under inverses. The order
+    must divide |GL(n, Z/p^m)|."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if not gens:
@@ -167,11 +186,8 @@ def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> Fi
     if not all(modmat.invertible_mod(g, p) for g in gens):
         raise ValueError("generator is singular mod p")
     graph = _cayley(gens, n, mod, cap)
-    codes = sorted(graph[0])
-    row = cache(lambda r: _digits(r, n, mod))  # one tuple per distinct row
-    elements = tuple(tuple(map(row, _digits(c, n, mod ** n))) for c in codes)
-    table = FiniteGroupTable(ctx, level, n, elements, gens)
-    object.__setattr__(table, "_idx", {c: i for i, c in enumerate(codes)})
+    table = FiniteGroupTable.__new__(FiniteGroupTable)  # its elements are decoded when read
+    vars(table).update(ctx=ctx, level=level, n=n, generators=gens, _keys=tuple(sorted(graph[0])))
     _verify_closure(table, graph)
     return table
 
@@ -180,7 +196,7 @@ def _verify_closure(table: FiniteGroupTable, graph=None):
     table._cycles(graph)  # raises unless every element's inverse is in the table
     full = general_linear_order(table.n, table.ctx.p) \
         * table.ctx.p ** (table.n * table.n * (table.level - 1))
-    if full % len(table.elements):
+    if full % table.order:
         raise AssertionError("table order does not divide |GL(n, Z/p^m)|")
 
 
@@ -193,17 +209,16 @@ class PowerImage:
 def power_surjective(table: FiniteGroupTable, k: int) -> PowerImage:
     """Compute {x^k} exhaustively; surjective iff the image is everything.
 
-    x = y^j on a walk of length d has x^k = y^(jk mod d), which the walk
-    holds: every power is read off a walk step already made."""
+    The k-th powers of a cyclic group <y> of order d are <y^gcd(k, d)>, so on
+    a walk 1, y, ..., y^(d-1) they are the slice flat[s:e:gcd(k, d)]; the image
+    is the union of those slices (for k = 0, flat[s:e:d], which is {1})."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    walk, step, start, flat = table._cycles()
-    hit = bytearray(table.order)  # hit[i] = 1 when element i is a k-th power
-    for w, j in zip(walk, step):
-        s = start[w]
-        hit[flat[s + j * k % (start[w + 1] - s)]] = 1
-    size = hit.count(1)
-    return PowerImage(size == table.order, size)
+    _, _, start, flat = table._cycles()
+    image = set()
+    for s, e in zip(start, start[1:]):
+        image.update(flat[s:e:gcd(k, e - s)])
+    return PowerImage(len(image) == table.order, len(image))
 
 
 @dataclass(frozen=True)
@@ -218,8 +233,10 @@ class F1Check:
 
 
 def validate_f1(table: FiniteGroupTable, k: int) -> F1Check:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     img = power_surjective(table, k)
-    cop = coprime(k, Supernatural.from_int(table.order))
+    cop = coprime(k, table._order_factors)
     return F1Check(img.surjective == cop, img.surjective, cop, table.order,
                    img.image_size)
 
@@ -262,9 +279,7 @@ def unit_group_generators(p: int, m: int):
 def is_subgroup(small: FiniteGroupTable, big: FiniteGroupTable) -> bool:
     if (small.ctx.p, small.level, small.n) != (big.ctx.p, big.level, big.n):
         return False
-    mod = big.ctx.p ** big.level
-    big_idx = big._index()
-    return all(_code(m, mod) in big_idx for m in small.elements)
+    return all(key in big._index for key in small._keys)
 
 
 def lagrange_consistent(big: FiniteGroupTable, small: FiniteGroupTable) -> bool:

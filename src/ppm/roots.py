@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Optional, Union
 
 from . import modmat
@@ -195,13 +196,20 @@ def _mat_add(a: modmat.Mat, b: modmat.Mat, mod: int) -> modmat.Mat:
     return tuple(tuple((u + v) % mod for u, v in zip(r, s)) for r, s in zip(a, b))
 
 
-def _affine_solutions(mat: list, rhs: list, p: int):
-    """Every solution of mat*y = rhs over F_p, none when inconsistent,
-    read off the reduced form of [mat | rhs]. The free coordinates run
-    through F_p in lexicographic order."""
-    cols = len(mat[0])
-    m, pivots, _ = modmat.rref_mod([list(r) + [b] for r, b in zip(mat, rhs)], p, width=cols)
-    if any(row[cols] for row in m[len(pivots):]):
+def _row_reduced(mat: list, p: int):
+    """[mat | 1] reduced over F_p: mat's reduced form, then the row operations."""
+    ident = modmat.identity_mat(len(mat))
+    return modmat.rref_mod([(*r, *e) for r, e in zip(mat, ident)], p, width=len(mat[0]))
+
+
+def _solutions(reduced, rhs: list, p: int):
+    """Every solution of mat*y = rhs over F_p, none when inconsistent, read off
+    ``_row_reduced(mat, p)``. The free coordinates run through F_p in
+    lexicographic order."""
+    m, pivots, _ = reduced
+    cols = len(m[0]) - len(m)
+    b = [sum(map(mul, row[cols:], rhs)) % p for row in m]  # rhs under the row operations
+    if any(b[len(pivots):]):
         return
     free = [c for c in range(cols) if c not in pivots]
     for coeffs in product(range(p), repeat=len(free)):
@@ -209,8 +217,13 @@ def _affine_solutions(mat: list, rhs: list, p: int):
         for c, t in zip(free, coeffs):
             y[c] = t
         for i, pc in enumerate(pivots):
-            y[pc] = (m[i][cols] - sum(m[i][c] * t for c, t in zip(free, coeffs))) % p
+            y[pc] = (b[i] - sum(m[i][c] * t for c, t in zip(free, coeffs))) % p
         yield y
+
+
+def _affine_solutions(mat: list, rhs: list, p: int):
+    """``_solutions`` of mat*y = rhs in one shot."""
+    return _solutions(_row_reduced(mat, p), rhs, p)
 
 
 _SEED_CAP = 1_000_000  # mod-p candidates the seed search may enumerate
@@ -235,12 +248,13 @@ def _mod_p_roots(t: modmat.Mat, k: int, p: int) -> list:
             for c in range(n):
                 row[a * n + c] += t[c][b]
                 row[c * n + b] -= t[a][c]
-    dim = size - len(modmat.rref_mod(system, p)[1])
+    reduced = _row_reduced(system, p)
+    dim = size - len(reduced[1])
     if p ** dim > _SEED_CAP:
         raise CapExceeded(f"the centralizer of the target mod {p} has {p}^{dim} elements, "
                           f"past the seed cap {_SEED_CAP}")
     centralizer = (tuple(tuple(y[i * n:(i + 1) * n]) for i in range(n))
-                   for y in _affine_solutions(system, [0] * size, p))
+                   for y in _solutions(reduced, [0] * size, p))
     return sorted(x for x in centralizer if modmat.mat_pow(x, k, p) == t)
 
 
@@ -249,9 +263,9 @@ def _lifted_roots(target: modmat.Mat, k: int, p: int, level: int):
     each once, in branch order; returns the deepest level where a branch died.
 
     The seeds ``_mod_p_roots`` finds mod p are lifted one level at a time
-    by a linear system over F_p; a lift can die along one branch and
-    survive along another. Seeds and lifts go in lexicographic order. More
-    than _NODE_CAP lift branches raises CapExceeded.
+    by a linear system over F_p, its operator reduced once per seed; a lift
+    can die along one branch and survive along another. Seeds and lifts go
+    in lexicographic order; past _NODE_CAP lift branches, CapExceeded.
     """
     n = len(target)
     target_p = modmat.reduce_mat(target, p)
@@ -282,9 +296,9 @@ def _lifted_roots(target: modmat.Mat, k: int, p: int, level: int):
             d_mat = modmat.mat_mul(
                 target_inv, tuple(tuple((d // step) % p for d in row) for row in diff), p)
             op = operators.get(seed)
-            if op is None:  # built when the seed is first expanded
-                op = operators[seed] = _ad_sum_operator(seed, k, p)
-            for y in _affine_solutions(op, [d for row in d_mat for d in row], p):
+            if op is None:  # built and reduced when the seed is first expanded
+                op = operators[seed] = _row_reduced(_ad_sum_operator(seed, k, p), p)
+            for y in _solutions(op, [d for row in d_mat for d in row], p):
                 # X(1 + p^m Y) = X + p^m (XY mod p) mod p^(m+1)
                 xy = modmat.mat_mul(x, tuple(tuple(y[i * n:(i + 1) * n]) for i in range(n)), p)
                 lifts.append((tuple(tuple((u + step * v) % mod_next for u, v in zip(r, s))

@@ -256,3 +256,11 @@ def test_malformed_catalog_numbers_are_input_errors(capsys):
                  "--spot-checks", "-3"]) == EXIT_INPUT
     assert main(["analyze", "AxB", "-p", "5", "-k", "3", "--spot-checks", "-1"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_oracle_command_rejects_a_non_positive_k_with_one_message(integral_gens_file, capsys):
+    for k in ("0", "-2"):
+        assert main(["oracle", integral_gens_file, "--level", "1", "-k", k]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be a positive integer" in captured.err

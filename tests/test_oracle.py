@@ -250,3 +250,64 @@ def test_a_hand_built_table_must_be_exactly_what_its_generators_generate():
         # an AssertionError, not the CapExceeded of the search capped at the table's order
         with pytest.raises(AssertionError, match="do not generate exactly the table"):
             _verify_closure(table)
+
+
+def test_membership_and_subgroups_work_before_the_elements_are_decoded():
+    big = enumerate_group(full_gl_generators(2, 3, 1), CTX3, 1)
+    small = enumerate_group([SHEAR], CTX3, 1)
+    assert "elements" not in vars(big) and "elements" not in vars(small)
+    assert SHEAR in big and ((1, 2), (0, 1)) in small and ((0, 1), (1, 0)) not in small
+    assert ((4, 3), (3, 4)) in big  # reduced mod 3 first
+    assert is_subgroup(small, big) and not is_subgroup(big, small)
+    assert lagrange_consistent(big, small)
+    assert "elements" not in vars(big) and "elements" not in vars(small)
+    assert len(big.elements) == big.order == 48
+
+
+def test_a_hand_built_table_keeps_its_elements_in_the_order_given():
+    table = enumerate_group(full_gl_generators(2, 3, 1), CTX3, 1)
+    given = tuple(reversed(table.elements))
+    copy = FiniteGroupTable(CTX3, 1, 2, given, table.generators)
+    assert copy.elements == given and copy.order == 48
+    assert all(m in copy for m in given) and is_subgroup(copy, table)
+    walk, step, start, flat = copy._cycles()
+    assert given[flat[start[1] + 1]] == given[0]  # the first walk is of the first element
+
+
+def test_the_zeroth_power_image_is_the_identity():
+    for table in (enumerate_group(full_gl_generators(2, 3, 1), CTX3, 1),
+                  enumerate_group(unit_group_generators(5, 3), CTX5, 3),
+                  enumerate_group([modmat.identity_mat(2)], CTX5, 1)):
+        img = power_surjective(table, 0)
+        assert img.image_size == 1 and img.surjective == (table.order == 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=small_tables(), data=st.data())
+def test_power_images_read_as_slices_are_the_per_element_steps(table, data):
+    """x = y^j on a walk of length d has x^k = y^(jk mod d): the image the
+    walks give element by element is the image read as one slice per walk."""
+    walk, step, start, flat = table._cycles()
+    drawn = data.draw(st.lists(st.integers(0, 3 * table.order), max_size=8))
+    for k in [0, 3 * table.order] + drawn:
+        image = set()
+        for w, j in zip(walk, step):
+            s, d = start[w], start[w + 1] - start[w]
+            image.add(flat[s + j * k % d])
+        img = power_surjective(table, k)
+        assert img.image_size == len(image)
+        assert img.surjective == (len(image) == table.order)
+
+
+def test_validate_f1_rejects_a_non_positive_k_before_the_image(monkeypatch):
+    # k = 0 built the whole image, then failed in steinitz.coprime; k = -2
+    # failed in power_surjective with its own "k must be non-negative"
+    table = enumerate_group([SHEAR], CTX5, 1)
+
+    def no_image(table, k):
+        raise AssertionError("the power image was computed")
+
+    monkeypatch.setattr("ppm.oracle.power_surjective", no_image)
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            validate_f1(table, k)

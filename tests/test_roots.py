@@ -382,3 +382,28 @@ def test_a_level_below_the_known_level_reduces_the_target():
         res = solve(a, 2, level=2)
         assert res.status == FOUND and res.root.level == 2
         assert modmat.mat_pow(res.root.entries, 2, 9) == ((1,),)
+
+
+def test_the_lift_search_reduces_each_seed_operator_once(monkeypatch):
+    # every lift node re-reduced [operator | rhs]; now the node only applies
+    # the row operations recorded when the seed's operator was reduced
+    from ppm import roots as roots_mod
+    calls = {"_row_reduced": 0, "_solutions": 0}
+
+    def counted(name):
+        real = getattr(roots_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(roots_mod, name, wrapper)
+
+    counted("_row_reduced")
+    counted("_solutions")
+    a = ((1, 2), (3, 5))
+    ctx = PContext(3, 10)
+    res = finite_root(PadicApproxMatrix(ctx, 10, modmat.mat_pow(a, 2, 3 ** 10)), 2)
+    assert res.status == FOUND
+    # the centralizer system once, then one operator per expanded seed (three)
+    assert calls["_row_reduced"] == 4
+    assert calls["_solutions"] > 10
