@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, lattice_sum, rref
-from .qpcore import PContext
+from .linalg import Lattice, QMatrix, _lowest_terms, apply, char_poly, elementary_divisors, \
+    lattice_sum, rref
+from .qpcore import PContext, vp_frac
 
 _DEFAULT_WORD_LEN = 4
 _DEFAULT_ROUNDS = 64
@@ -87,30 +89,42 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     """Check all reduced words up to word_len; return the first failure
     in breadth-first order, or None when every sampled word is type R.
 
+    Words are multiplied and deduplicated on integer views (QMatrix._ints).
+    v_p(det), the sum of the letters' valuations, decides most: a nonzero sum
+    makes the constant term +-det a non-unit (a witness), and a p-integral
+    word of sum 0 is type R. Only the rest go to type_r_matrix.
+
     This samples a necessary condition: words beyond the bound are not
     inspected, so None never certifies that the whole group is type R.
     """
     if word_len < 0:
         raise ValueError("word_len must be non-negative")
-    ctx = group.ctx
-    alphabet = [(i, sign, h) for i, pair in enumerate(zip(group.gens, group.inverses))
-                for sign, h in zip((1, -1), pair)]
-    seen = {QMatrix.identity(group.n)}
-    frontier = [(QMatrix.identity(group.n), ())]
+    ctx, n, p = group.ctx, group.n, group.ctx.p
+    letters = []  # (letter, d, columns of N, v_p(det)) for g = N / d and g^-1
+    for i, pair in enumerate(zip(group.gens, group.inverses)):
+        v = vp_frac(pair[0].det(), p)
+        for sign, h in zip((1, -1), pair):
+            d, rows = h._int_view()
+            letters.append(((i, sign), d, tuple(zip(*rows)), sign * v))
+    one = QMatrix.identity(n)._ints
+    seen = {one}
+    frontier = [(one, (), 0)]
     for _ in range(word_len):
         nxt = []
-        for mat, word in frontier:
-            for i, sign, g in alphabet:
+        for ints, word, val in frontier:
+            da, rows = ints[0], [ints[1 + k * n:1 + (k + 1) * n] for k in range(n)]
+            for (i, sign), db, cols, v in letters:
                 if word and word[-1] == (i, -sign):
                     continue  # immediate cancellation
-                m2 = mat * g
-                if m2 in seen:
+                key = _lowest_terms(da * db, [[sum(map(mul, row, col)) for col in cols]
+                                              for row in rows])
+                if key in seen:
                     continue
-                seen.add(m2)
-                w2 = word + ((i, sign),)
-                if not type_r_matrix(m2, ctx):
-                    return Witness(w2, m2)
-                nxt.append((m2, w2))
+                seen.add(key)
+                w2, v2 = word + ((i, sign),), val + v
+                if v2 or key[0] % p == 0 and not type_r_matrix(QMatrix._from_view(n, key), ctx):
+                    return Witness(w2, QMatrix._from_view(n, key))
+                nxt.append((key, w2, v2))
         frontier = nxt
     return None
 

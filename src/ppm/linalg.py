@@ -86,6 +86,15 @@ def rref(rows, width=None, det_only=False):
     return reduced, pivots, Fraction(det, prod(scales))
 
 
+def _lowest_terms(d: int, nums) -> tuple:
+    """QMatrix's integer view (d' > 0, entries...) of nums / d, in lowest terms."""
+    g = d  # row by row: from n = 8 on, an argument tuple of n^2 entries is too
+    for row in nums:  # big for Python's small-object allocator and fragments the heap
+        g = gcd(g, *row)
+    g = g if d > 0 else -g
+    return (d // g, *(x // g for row in nums for x in row))
+
+
 class QMatrix:
     """Immutable square matrix with exact rational entries.
 
@@ -110,13 +119,14 @@ class QMatrix:
     @classmethod
     def _from_ints(cls, d: int, nums) -> "QMatrix":
         """The matrix nums / d (square integer rows, d != 0), in lowest terms."""
-        g = d  # row by row: from n = 8 on, an argument tuple of n^2 entries is too
-        for row in nums:  # big for Python's small-object allocator and fragments the heap
-            g = gcd(g, *row)
-        g = g if d > 0 else -g
+        return cls._from_view(len(nums), _lowest_terms(d, nums))
+
+    @classmethod
+    def _from_view(cls, n: int, ints: tuple) -> "QMatrix":
+        """The n x n matrix whose integer view is ints, already in lowest terms."""
         out = object.__new__(cls)
-        object.__setattr__(out, "n", len(nums))
-        object.__setattr__(out, "_ints", (d // g, *(x // g for row in nums for x in row)))
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "_ints", ints)
         return out
 
     def _int_view(self):
@@ -292,13 +302,8 @@ def newton_polygon(poly, ctx: PContext) -> NewtonPolygon:
     while coeffs[-1] == 0:
         coeffs.pop()
         infinite += 1
-    # points (i, v(c_i)) with i the power of x
-    pts = []
-    d = len(coeffs) - 1
-    for i in range(d + 1):
-        c = coeffs[d - i]
-        if c != 0:
-            pts.append((i, Fraction(vp_frac(c, ctx.p))))
+    # integer points (i, v(c_i)) with i the power of x
+    pts = [(i, vp_frac(c, ctx.p)) for i, c in enumerate(reversed(coeffs)) if c != 0]
     # lower convex hull, left to right (pts already sorted by abscissa)
     hull = []
     for pt in pts:
@@ -310,12 +315,8 @@ def newton_polygon(poly, ctx: PContext) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        run = int(x2 - x1)
-        val = -(y2 - y1) / run
-        slopes.append((val, run))
-    slopes.sort(key=lambda t: t[0])
+    slopes = sorted((Fraction(y1 - y2, x2 - x1), x2 - x1)
+                    for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
     result = NewtonPolygon(tuple(slopes), infinite)
     assert result.total_multiplicity() == deg
     return result
@@ -429,7 +430,9 @@ class Lattice:
             span = _Span(vp_int(d, p), list(zip(*nums)))
         else:
             span = _integer_span(p, [tuple(col) for col in generators])
-        shift, cols, exps = _hermite(p, span)
+        self._set(ctx, *_hermite(p, span))
+
+    def _set(self, ctx: PContext, shift: int, cols: tuple, exps: tuple):
         for name, value in (("ctx", ctx), ("n", len(cols)), ("_shift", shift),
                             ("_cols", cols), ("_exps", exps)):
             object.__setattr__(self, name, value)
@@ -439,7 +442,12 @@ class Lattice:
 
     @classmethod
     def standard(cls, ctx: PContext, n: int) -> "Lattice":
-        return cls(ctx, QMatrix.identity(n))
+        """Z_p^n, built in its canonical form: shift 0, identity columns."""
+        if n < 1:
+            raise ValueError("generators span no space")
+        out = cls.__new__(cls)
+        out._set(ctx, 0, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)), (0,) * n)
+        return out
 
     @classmethod
     def from_diagonal_exponents(cls, ctx: PContext, exps) -> "Lattice":

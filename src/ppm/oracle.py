@@ -86,7 +86,8 @@ class FiniteGroupTable:
     """The subgroup of GL(n, Z/p^m) generated by the given matrices.
 
     The table is its keys (``_key``): sorted when enumerated, as the flattened
-    row-major entries sort, and in the order given when hand-built. Elements
+    row-major entries sort, and in the order given when hand-built (distinct n x n
+    matrices over [0, p^m), as the generators are, else ValueError). Elements
     are decoded from the keys when first read, the index for membership built.
     Closure under products holds structurally (a search to a fixpoint).
     Closure under inverses is checked by the cyclic walks, which also give
@@ -94,9 +95,16 @@ class FiniteGroupTable:
     """
 
     def __init__(self, ctx: PContext, level: int, n: int, elements, generators):
+        mod = ctx.p ** level
+        if any(len(m) != n or any(len(row) != n or not all(
+                isinstance(x, int) and 0 <= x < mod for x in row) for row in m)
+               for m in (*elements, *generators)):
+            raise ValueError(f"elements and generators must be {n} x {n} over [0, {mod})")
         self.ctx, self.level, self.n, self.generators = ctx, level, n, generators
         self.elements = elements  # as given: it shadows the decoding property
-        self._keys = tuple(_key(m, ctx.p ** level) for m in elements)
+        self._keys = tuple(_key(m, mod) for m in elements)
+        if len(self._index) < self.order:
+            raise ValueError("an element is listed twice")
 
     @cached_property
     def elements(self) -> tuple:

@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ppm.dynamics
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
-from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, _complete_basis, bounded_group, \
-    common_fixed_space, ku_flag, type_r_matrix, type_r_witness_search
+from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, Witness, _complete_basis, \
+    bounded_group, common_fixed_space, ku_flag, type_r_matrix, type_r_witness_search
 from ppm.errors import NotTypeR, Singular
 from ppm.linalg import Lattice, QMatrix, apply, rref
-from ppm.qpcore import PContext
+from ppm.qpcore import PContext, vp
 from ppm.scale import scale_newton
 
 CTX3 = PContext(3)
@@ -253,3 +253,73 @@ def test_basis_completion_matches_the_greedy_reference(n, data):
                               min_size=d, max_size=d))
     assume(len(rref(cols)[1]) == d)
     assert _complete_basis(cols, n) == _greedy_completion(cols, n)
+
+
+# -- the QMatrix-product search the integer-view search must reproduce --------
+
+def reference_witness_search(group, word_len):
+    """Every reduced word up to word_len as a normalised QMatrix product,
+    breadth first and deduplicated, each decided by its characteristic
+    polynomial."""
+    ctx = group.ctx
+    alphabet = [(i, sign, h) for i, pair in enumerate(zip(group.gens, group.inverses))
+                for sign, h in zip((1, -1), pair)]
+    seen = {QMatrix.identity(group.n)}
+    frontier = [(QMatrix.identity(group.n), ())]
+    for _ in range(word_len):
+        nxt = []
+        for mat, word in frontier:
+            for i, sign, g in alphabet:
+                if word and word[-1] == (i, -sign):
+                    continue
+                m2 = mat * g
+                if m2 in seen:
+                    continue
+                seen.add(m2)
+                w2 = word + ((i, sign),)
+                if not type_r_matrix(m2, ctx):
+                    return Witness(w2, m2)
+                nxt.append((m2, w2))
+        frontier = nxt
+    return None
+
+
+@st.composite
+def word_search_groups(draw):
+    """1 or 2 generators c^-1 L D U c, n = 1..4, p in {2, 3, 5}: L, U integral
+    unitriangular, D diagonal with entries among +-1, 2, p and 1/p (so the
+    determinant is a unit or not, and D may be non-integral with a unit
+    determinant), c = diag(p^e) with e in {-1, 0, 1} (so the generator may be
+    integral or not)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        lower = QMatrix([[draw(small) if j < i else int(i == j) for j in range(n)]
+                         for i in range(n)])
+        upper = QMatrix([[draw(small) if j > i else int(i == j) for j in range(n)]
+                         for i in range(n)])
+        # half the time units only: else a nonzero v_p(det) makes most searches end at once
+        scalars = st.sampled_from([1, -1] if draw(st.booleans()) else [1, -1, 2, p, F(1, p)])
+        diag = QMatrix.diagonal([draw(scalars) for _ in range(n)])
+        c = QMatrix.diagonal([F(p) ** draw(st.sampled_from([0, -1, 1])) for _ in range(n)])
+        gens.append(c.inverse() * lower * diag * upper * c)
+    return GeneratorSet.of(PContext(p), gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(group=word_search_groups(), word_len=st.integers(0, 4))
+def test_witness_search_equals_the_qmatrix_product_reference(group, word_len):
+    assert type_r_witness_search(group, word_len) == reference_witness_search(group, word_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 4), data=st.data())
+def test_an_integral_matrix_is_type_r_iff_its_determinant_is_a_unit(p, n, data):
+    entries = st.builds(F, st.integers(-2 * p, 2 * p),
+                        st.sampled_from([d for d in (1, 2, 3, 5, 7) if d % p]))
+    a = QMatrix(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)))
+    assume(a.det() != 0)
+    assert type_r_matrix(a, PContext(p)) == (vp(a.det(), PContext(p)) == 0)

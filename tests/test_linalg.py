@@ -514,3 +514,49 @@ def test_membership_rejects_vectors_of_the_wrong_length():
             lat.contains_vector(vec)
         with pytest.raises(ValueError):
             vec in lat  # noqa: B015
+
+
+def _reference_newton_polygon(poly, p):
+    """The Newton polygon by a lower hull on Fraction points: (slopes, zero roots)."""
+    coeffs = [F(c) for c in poly]
+    infinite = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        infinite += 1
+    d = len(coeffs) - 1
+    pts = [(i, F(vp(coeffs[d - i], PContext(p)))) for i in range(d + 1) if coeffs[d - i] != 0]
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    slopes = [(-(y2 - y1) / (x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    return tuple(sorted(slopes, key=lambda t: t[0])), infinite
+
+
+@LAWS
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_newton_polygon_equals_the_fraction_hull_reference(p, data):
+    """Monic polynomials with p-adically large, small and non-integral
+    coefficients, and with zero roots (trailing zero coefficients)."""
+    coeff = st.one_of(st.just(0), _scalars(p), st.builds(lambda e: F(p) ** e, st.integers(-4, 4)))
+    poly = [1, *data.draw(st.lists(coeff, max_size=6)), *[0] * data.draw(st.integers(0, 2))]
+    got = newton_polygon(poly, PContext(p))
+    assert (got.slopes, got.infinite_count) == _reference_newton_polygon(poly, p)
+    assert all(type(s) is F for s, _ in got.slopes)
+
+
+def test_the_standard_lattice_is_built_in_canonical_form():
+    for ctx in (CTX2, CTX3, CTX5):
+        for n in range(1, 6):
+            std, hermite = Lattice.standard(ctx, n), Lattice(ctx, QMatrix.identity(n))
+            assert (std._shift, std._cols, std._exps) == (hermite._shift, hermite._cols,
+                                                         hermite._exps)
+            assert std == hermite and hash(std) == hash(hermite)
+            assert Lattice.standard(ctx, n) is not std  # a fresh object on each call
+    with pytest.raises(ValueError):
+        Lattice.standard(CTX3, 0)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,3 +312,21 @@ def test_validate_f1_rejects_a_non_positive_k_before_the_image(monkeypatch):
     for k in (0, -2):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             validate_f1(table, k)
+
+
+def test_a_malformed_hand_built_table_is_rejected():
+    one, two = ((1,),), ((2,),)
+    cases = [
+        ((one, ((5,),)), (two,)),  # 5 is not reduced mod 3: it was keyed as it stood
+        ((one, ((-1,),)), (two,)),
+        ((one, two, two), (two,)),  # a repeated element made the order 3
+        ((one, ((1, 0), (0, 1))), (two,)),  # not 1 x 1
+        ((one, two), (((2, 0),),)),
+        ((one, two), (((F(1, 2),),),)),
+    ]
+    for elements, generators in cases:
+        with pytest.raises(ValueError):
+            FiniteGroupTable(CTX3, 1, 1, elements, generators)
+    table = FiniteGroupTable(CTX3, 1, 1, (one, two), (two,))
+    assert table.order == 2 and ((5,),) in table
+    _verify_closure(table)
