@@ -10,7 +10,12 @@ form is unique, so are their results.
 
 A Lattice is a full-rank Z_p-lattice in Q_p^n, i.e. a compact open
 subgroup of the additive group, held as p^-s times an integer Hermite
-basis, canonical so that equality is a structural comparison.
+basis, canonical so that equality is a structural comparison. Over Z_(p)
+the Hermite form (``_hermite``) and the Smith form (``_local_snf``) both
+run in integers and clear a row or column y against the pivot x = u p^e
+by one step, y <- (u y - (y_t / p^e) x) / g with g = gcd(u, y_t / p^e);
+the Smith form records its row operations in an identity block, from
+which ``elementary_divisors_with_directions`` reads its directions.
 """
 from __future__ import annotations
 
@@ -578,54 +583,39 @@ def apply(a: QMatrix, lat: Lattice) -> Lattice:
         raise Singular("cannot apply a singular matrix to a lattice") from exc
 
 
-def _local_snf(ctx: PContext, a, want_transform: bool):
-    """Smith form over Z_(p) of the square matrix a (rows, consumed):
-    returns exponents (ascending) and, when requested, U with
-    a = U * diag(p^e) * (unimodular)."""
-    p = ctx.p
+def _local_snf(p: int, a):
+    """Smith form over Z_(p) of the square integer matrix a (rows), run in
+    integers on [a | 1]. Step t takes the entry of least valuation in rows
+    and columns t.. (the first in row-major order) to (t, t) by a row swap
+    and a swap of columns in the left block, then clears each row y below
+    the pivot row x = u p^e at t with _hermite's step
+    y <- (u y - (y_t / p^e) x) / g, g = gcd(u, y_t / p^e), which keeps y a
+    unit multiple of itself over Z_(p). Returns the exponents (ascending),
+    the right block R and the pivots' units u: diag(u)^-1 R is the product
+    of the row operations that reduce a over Q with pivots p^e, so
+    a = (diag(u)^-1 R)^-1 * diag(p^e) * (unimodular)."""
     n = len(a)
-    u = [list(row) for row in QMatrix.identity(n).rows] if want_transform else None
-    exps = []
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    exps, units = [], []
     for t in range(n):
-        best, bestv = None, None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j] != 0:
-                    v = vp_frac(a[i][j], p)
-                    if bestv is None or v < bestv:
-                        best, bestv = (i, j), v
-        if best is None:
+        found = [(vp_int(m[i][j], p), i, j) for i in range(t, n) for j in range(t, n) if m[i][j]]
+        if not found:
             raise Singular("matrix is singular in Smith reduction")
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            if u is not None:
-                for r in range(n):  # U <- U * swap
-                    u[r][t], u[r][bi] = u[r][bi], u[r][t]
-        if bj != t:
-            for r in range(n):
-                a[r][t], a[r][bj] = a[r][bj], a[r][t]
-        piv = a[t][t]
-        unit = piv / Fraction(p) ** bestv
-        inv_unit = 1 / unit
-        for j in range(t, n):  # scale row to make pivot an exact power of p
-            a[t][j] *= inv_unit
-        if u is not None:
-            for r in range(n):  # inverse op: scale column t of U by the unit
-                u[r][t] *= unit
-        piv = a[t][t]
-        for i in range(t + 1, n):
-            if a[i][t] != 0:
-                q = a[i][t] / piv
-                for j in range(t, n):
-                    a[i][j] -= q * a[t][j]
-                if u is not None:
-                    for r in range(n):  # U <- U * (I + q E_{i,t})
-                        u[r][t] += q * u[r][i]
-        # row t is not cleared right of the pivot: it is never read again
-        exps.append(bestv)
+        e, bi, bj = min(found)
+        m[t], m[bi] = m[bi], m[t]
+        for row in m:
+            row[t], row[bj] = row[bj], row[t]
+        x, pe = m[t], p ** e
+        u = x[t] // pe
+        for y in m[t + 1:]:
+            if y[t]:
+                g = gcd(u, y[t] // pe)
+                c, d = u // g, y[t] // pe // g
+                y[t:] = [c * yy - d * xx for yy, xx in zip(y[t:], x[t:])]
+        exps.append(e)
+        units.append(u)
     assert all(x <= y for x, y in zip(exps, exps[1:]))
-    return tuple(exps), (QMatrix(u) if want_transform else None)
+    return tuple(exps), [row[n:] for row in m], units
 
 
 def _relative(ref: Lattice, lat: Lattice):
@@ -638,7 +628,7 @@ def _relative(ref: Lattice, lat: Lattice):
 def elementary_divisors(ref: Lattice, lat: Lattice):
     """Exponents e_1 <= ... <= e_n aligning lat with diag(p^e) * ref."""
     c, m = _relative(ref, lat)
-    exps, _ = _local_snf(ref.ctx, m, want_transform=False)
+    exps, _, _ = _local_snf(ref.ctx.p, m)
     return tuple(e + c for e in exps)
 
 
@@ -646,9 +636,10 @@ def elementary_divisors_with_directions(ref: Lattice, lat: Lattice):
     """Divisors plus aligned directions: columns w_i of the returned
     matrix satisfy  lat = span_Zp { p^{e_i} w_i }  and  ref = span { w_i }."""
     c, m = _relative(ref, lat)
-    exps, u = _local_snf(ref.ctx, m, want_transform=True)  # a scalar p^c leaves U alone
+    exps, rops, units = _local_snf(ref.ctx.p, m)  # a scalar p^c leaves the operations alone
     exps = tuple(e + c for e in exps)
-    directions = ref.basis * u
+    directions = ref.basis * QMatrix([[Fraction(x, u) for x in row]
+                                      for row, u in zip(rops, units)]).inverse()
     check = Lattice(ref.ctx, directions * QMatrix.diagonal(
         [Fraction(ref.ctx.p) ** e for e in exps]))
     if check != lat:

@@ -221,11 +221,6 @@ def _solutions(reduced, rhs: list, p: int):
         yield y
 
 
-def _affine_solutions(mat: list, rhs: list, p: int):
-    """``_solutions`` of mat*y = rhs in one shot."""
-    return _solutions(_row_reduced(mat, p), rhs, p)
-
-
 _SEED_CAP = 1_000_000  # mod-p candidates the seed search may enumerate
 _NODE_CAP = 200_000  # lift branches finite_root may explore
 

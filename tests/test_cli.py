@@ -264,3 +264,41 @@ def test_oracle_command_rejects_a_non_positive_k_with_one_message(integral_gens_
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "k must be a positive integer" in captured.err
+
+
+def test_tidy_past_its_cap_exits_inconclusive(tmp_path, capsys):
+    # c^-1 [[3, 1], [0, 1/3]] c with c = [[1, 0], [1/27, 1]] needs one tidying step
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(
+        {"p": 3, "n": 2, "entries": [["82/27", "1"], ["-73/729", "8/27"]]}))
+    assert main(["tidy", str(path), "--cap", "0"]) == EXIT_INCONCLUSIVE
+    assert "inconclusive" in capsys.readouterr().err
+    assert main(["tidy", str(path), "--cap", "1"]) == EXIT_OK
+
+
+def test_typer_and_flag_report_a_witness_word(tmp_path, capsys):
+    path = tmp_path / "expanding.json"
+    path.write_text(json.dumps(
+        {"p": 3, "n": 2, "gens": [[["3", "0"], ["0", "1"]], [["1", "1"], ["0", "1"]]]}))
+    assert main(["typer", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "witness": "g1"}
+    assert main(["flag", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"flag": None, "witness": "g1"}
+
+
+def test_an_axb_root_without_an_integral_translation_is_obstructed(tmp_path, capsys):
+    path = tmp_path / "axb.json"
+    path.write_text(json.dumps({"p": 3, "a": "1", "b": "1"}))
+    assert main(["root", "--kind", "axb", "-k", "3", "--level", "3", str(path),
+                 "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["status"] == "obstructed"
+
+
+def test_missing_prime_or_field_is_an_input_error(tmp_path, capsys):
+    assert main(["order", "GLn_Zp"]) == EXIT_INPUT
+    assert main(["analyze", "GL_Zp(2)", "-k", "2"]) == EXIT_INPUT
+    path = tmp_path / "axb.json"
+    path.write_text(json.dumps({"p": 3, "a": "1"}))
+    assert main(["root", "--kind", "axb", "-k", "3", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "order needs -p" in err and "analyze needs -p" in err and "\"b\"" in err

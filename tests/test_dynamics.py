@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ppm.dynamics
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
-from ppm.dynamics import BOUNDED, GeneratorSet, UNBOUNDED, Witness, _complete_basis, \
-    bounded_group, common_fixed_space, ku_flag, type_r_matrix, type_r_witness_search
+from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness, \
+    _complete_basis, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
+    type_r_witness_search
 from ppm.errors import NotTypeR, Singular
 from ppm.linalg import Lattice, QMatrix, apply, rref
 from ppm.qpcore import PContext, vp
@@ -111,6 +112,14 @@ def test_divergence_evidence_never_overrules_a_type_r_generator(eight_cycle):
     assert ku_flag(group).dims == (0, 1, 8)
     verdict = analyze(GroupSpec(FINITELY_GENERATED, CTX3, 8, group), 4)
     assert "flag-certified" in [step for step, _ in verdict.justification]
+
+
+def test_a_saturation_past_its_round_cap_is_inconclusive(eight_cycle):
+    res = bounded_group(GeneratorSet.of(CTX3, [eight_cycle]), rounds_cap=2)
+    assert res.verdict == INCONCLUSIVE
+    assert res.rounds == 2 and res.invariant is None
+    assert res.caps == {"rounds": 2, "divisor_threshold": 32}
+    assert [min(d) for d in res.divisor_trace] == [-10, -20]
 
 
 def test_flag_for_the_shear_pair():

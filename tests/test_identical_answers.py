@@ -1,9 +1,11 @@
 """Identical-answer guard: a sha256 digest of canonical outputs on a
 fixed-seed sample of the lattice and flag layers. Scale-tidy lattices and
-traces, invariant lattices, flag dims and bases and Smith directions are
-all unique answers, so a change to the exact arithmetic below them (an
-elimination kernel, a matrix representation) must leave the digest as it
-is. A deliberate change of any answer updates DIGEST and says why."""
+traces, invariant lattices and flag dims and bases are all unique answers.
+Smith directions are not unique, but they are pinned too: the Smith kernel
+performs the same row operations up to units of Z_(p), which fixes them.
+So a change to the exact arithmetic below them (an elimination kernel, a
+matrix representation) must leave the digest as it is. A deliberate change
+of any answer updates DIGEST and says why."""
 import hashlib
 import random
 from fractions import Fraction as F

@@ -13,7 +13,7 @@ from ppm.dynamics import GeneratorSet, common_fixed_space, type_r_matrix
 from ppm.errors import Singular
 from ppm.linalg import QMatrix, char_poly, newton_polygon, rref
 from ppm.qpcore import PContext
-from ppm.roots import _affine_solutions
+from ppm.roots import _row_reduced, _solutions
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -304,7 +304,7 @@ def affine_systems(draw):
 @given(system=affine_systems())
 def test_affine_solutions_are_exactly_the_brute_force_solutions(system):
     p, mat, rhs = system
-    sols = list(_affine_solutions(mat, rhs, p))
+    sols = list(_solutions(_row_reduced(mat, p), rhs, p))
     for y in sols:
         assert [sum(m * v for m, v in zip(row, y)) % p for row in mat] == rhs
     brute = [list(y) for y in product(range(p), repeat=len(mat[0]))
@@ -313,5 +313,5 @@ def test_affine_solutions_are_exactly_the_brute_force_solutions(system):
 
 
 def test_inconsistent_affine_system_has_no_solution():
-    assert list(_affine_solutions([[1, 2], [2, 4]], [1, 0], 5)) == []
-    assert list(_affine_solutions([[0, 0]], [1], 3)) == []
+    assert list(_solutions(_row_reduced([[1, 2], [2, 4]], 5), [1, 0], 5)) == []
+    assert list(_solutions(_row_reduced([[0, 0]], 3), [1], 3)) == []

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ppm.linalg
 from ppm.errors import NotNested, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, \
     elementary_divisors_with_directions, lattice_index, lattice_intersect, lattice_sum, \
@@ -560,3 +563,49 @@ def test_the_standard_lattice_is_built_in_canonical_form():
             assert Lattice.standard(ctx, n) is not std  # a fresh object on each call
     with pytest.raises(ValueError):
         Lattice.standard(CTX3, 0)
+
+
+def test_the_smith_kernel_takes_no_fraction_valuation(monkeypatch):
+    """Both Smith functions run on integers alone: no vp_frac call."""
+    std = Lattice.standard(CTX3, 3)
+    lat = Lattice(CTX3, QMatrix([[3, F(1, 3), 0], [1, 9, F(2, 7)], [0, 1, F(1, 9)]]))
+
+    def refuse(*args):
+        raise AssertionError("vp_frac called in the Smith kernel")
+
+    monkeypatch.setattr(ppm.linalg, "vp_frac", refuse)
+    divs = elementary_divisors(std, lat)
+    assert elementary_divisors_with_directions(std, lat)[0] == divs
+    assert sum(divs) == lat.det_valuation()
+
+
+def _leibniz(rows):
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * prod(row[c] for row, c in zip(rows, perm))
+    return total
+
+
+@st.composite
+def smith_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return PContext(p), _invertible(draw, p, draw(st.integers(1, 4)))
+
+
+@LAWS
+@given(smith_cases())
+def test_law_divisor_sums_are_the_least_minor_valuations(case):
+    """e_1 + ... + e_j is the least v_p over the j x j minors of M, the
+    determinantal divisors of M over Z_(p); the directions span Z_p^n."""
+    ctx, m = case
+    n, rows = m.n, m.rows
+    std, lat = Lattice.standard(ctx, n), Lattice(ctx, m)
+    divs = elementary_divisors(std, lat)
+    for j in range(1, n + 1):
+        minors = (_leibniz([[rows[r][c] for c in cs] for r in rs])
+                  for rs in combinations(range(n), j) for cs in combinations(range(n), j))
+        assert sum(divs[:j]) == min(vp(x, ctx) for x in minors if x != 0)
+    exps, directions = elementary_divisors_with_directions(std, lat)
+    assert exps == divs
+    assert Lattice(ctx, directions) == std

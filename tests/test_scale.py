@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ppm.dynamics
 import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
-from ppm.errors import Singular
+from ppm.errors import CapExceeded, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, lattice_intersect
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton, scale_tidy
@@ -189,3 +189,13 @@ def test_one_intersection_per_tidy_step(monkeypatch):
         calls.clear()
         report = scale_tidy(a, CTX3)
         assert len(calls) == len(report.iteration_trace)
+
+
+def test_a_tidying_cap_raises_with_the_trace_so_far():
+    # a = c^-1 [[3, 1], [0, 1/3]] c tidies in one step, trace ((0, 6), (1, 1))
+    c = QMatrix([[1, 0], [F(1, 27), 1]])
+    a = c.inverse() * QMatrix([[3, 1], [0, F(1, 3)]]) * c
+    assert scale_tidy(a, CTX3).iteration_trace == ((0, 6), (1, 1))
+    with pytest.raises(CapExceeded) as exc:
+        scale_tidy(a, CTX3, cap=0)
+    assert exc.value.trace == ((0, 6),)
