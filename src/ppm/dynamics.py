@@ -9,28 +9,26 @@ the tower of common fixed subspaces by linear algebra alone and runs
 that loop once, on the last quotient, where a verdict other than
 BOUNDED ends the flag search inconclusive. Flag certificates are
 re-verified before they are returned.
-An UNBOUNDED verdict on one generator is certified by the scale
-criterion (the generator is not type R); on two or more generators,
-negative verdicts are evidence, never proofs.
+Every UNBOUNDED verdict is certified by the scale criterion: a generator
+is not type R. When every generator is type R, the verdict is BOUNDED or
+INCONCLUSIVE (the round cap ran out), never UNBOUNDED; one such
+generator always has an invariant lattice, so only the cap stops it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, _lowest_terms, apply, char_poly, elementary_divisors, \
-    lattice_sum, rref
+from .linalg import Lattice, QMatrix, _image_span, _joined, _lowest_terms, apply, char_poly, \
+    elementary_divisors, rref
 from .qpcore import PContext, vp_frac
 
 _DEFAULT_WORD_LEN = 4
 _DEFAULT_ROUNDS = 64
-_DEFAULT_DIVISOR_THRESHOLD = 32
-_STREAK = 3  # consecutive strictly-monotone rounds demanded as divergence evidence
 
 
 @dataclass(frozen=True)
@@ -139,11 +137,11 @@ class BoundednessResult:
     """Verdict on whether the generated group has bounded orbits.
 
     BOUNDED carries a lattice fixed exactly by every generator (a real
-    certificate). UNBOUNDED carries the elementary-divisor trace showing
-    monotone growth past the threshold, strict on every recent window of
-    three rounds. For one generator it is certified: that generator is
-    not type R, so no invariant lattice exists. For two or more it is
-    evidence, not proof. INCONCLUSIVE reports the caps that ran out.
+    certificate). UNBOUNDED carries a one-letter witness, a generator that
+    is not type R: its powers are unbounded, so no invariant lattice
+    exists. INCONCLUSIVE reports the caps that ran out. BOUNDED and
+    INCONCLUSIVE keep the elementary divisors of each grown lattice
+    against Z_p^n, round by round, as evidence.
     """
 
     verdict: str
@@ -151,48 +149,36 @@ class BoundednessResult:
     divisor_trace: tuple = ()
     rounds: int = 0
     caps: Optional[dict] = None
+    witness: Optional[Witness] = None
 
 
-def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS,
-                  divisor_threshold: int = _DEFAULT_DIVISOR_THRESHOLD) -> BoundednessResult:
-    """Grow the standard lattice by the generator orbit until it stops
-    (bounded, with the fixpoint as certificate) or its elementary
-    divisors against the start diverge monotonically (unbounded).
-
-    The divergence heuristic never overrules the scale criterion: a
-    single type-R generator has an invariant lattice, so for it the
-    saturation goes on up to rounds_cap instead."""
+def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> BoundednessResult:
+    """UNBOUNDED, with no rounds, at the first generator that is not type R
+    (the scale criterion; complete for one generator). Otherwise grow the
+    standard lattice by the generators and their inverses, one Hermite
+    form per round, until it stops (BOUNDED, with the fixpoint as
+    certificate) or rounds_cap rounds have run (INCONCLUSIVE)."""
     ctx = group.ctx
+    for i, g in enumerate(group.gens):
+        if not type_r_matrix(g, ctx):
+            return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
     start = Lattice.standard(ctx, group.n)
     gens_and_invs = group.with_inverses()
     lat = start
     trace = []
-    mins = [0]
-    may_diverge = None  # decided when the divergence evidence first appears
     for round_no in range(1, rounds_cap + 1):
-        images = [apply(g, lat) for g in gens_and_invs]
-        grown = reduce(lattice_sum, images, lat)
+        grown = Lattice(ctx, _joined(ctx.p, lat._span(),
+                                     *(_image_span(h, lat) for h in gens_and_invs)))
         if grown == lat:
-            if any(image != lat for image in images):
+            if any(apply(h, lat) != lat for h in gens_and_invs):
                 raise InternalInvariantViolation(
                     "saturation fixpoint is not generator-invariant")
             return BoundednessResult(BOUNDED, invariant=lat, divisor_trace=tuple(trace),
                                      rounds=round_no)
-        divisors = elementary_divisors(start, grown)
-        trace.append(divisors)
-        mins.append(min(divisors))
-        # divergence evidence: the deepest divisor fell past the threshold and
-        # kept falling across every recent window of _STREAK rounds
-        if mins[-1] <= -divisor_threshold and len(mins) > _STREAK \
-                and mins[-1] < mins[-1 - _STREAK]:
-            if may_diverge is None:
-                may_diverge = len(group.gens) > 1 or not type_r_matrix(group.gens[0], ctx)
-            if may_diverge:
-                return BoundednessResult(UNBOUNDED, divisor_trace=tuple(trace),
-                                         rounds=round_no)
+        trace.append(elementary_divisors(start, grown))
         lat = grown
     return BoundednessResult(INCONCLUSIVE, divisor_trace=tuple(trace), rounds=rounds_cap,
-                             caps={"rounds": rounds_cap, "divisor_threshold": divisor_threshold})
+                             caps={"rounds": rounds_cap})
 
 
 @dataclass(frozen=True)

@@ -542,11 +542,11 @@ def _dual_span(lat: Lattice) -> _Span:
     return _Span(sum(lat._exps) - lat._shift, lat._adjugate())
 
 
-def _joined(p: int, a: _Span, b: _Span) -> _Span:
-    """Both spans' columns, brought to the larger shift."""
-    shift = max(a.shift, b.shift)
+def _joined(p: int, *spans: _Span) -> _Span:
+    """All the spans' columns, brought to the largest shift."""
+    shift = max(s for s, _ in spans)
     return _Span(shift, [[x * p ** (shift - s) for x in col]
-                         for s, cols in (a, b) for col in cols])
+                         for s, cols in spans for col in cols])
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
@@ -571,14 +571,20 @@ def lattice_index(big: Lattice, small: Lattice) -> int:
     return small.det_valuation() - big.det_valuation()
 
 
+def _image_span(a: QMatrix, lat: Lattice) -> _Span:
+    """a(L) as a _Span, uncanonicalised: a = N / d maps the columns of H to
+    N H, and the power of p in d joins the shift."""
+    d, m = a._int_view()
+    return _Span(lat._shift + vp_int(d, lat.ctx.p),
+                 [[sum(map(mul, row, col)) for row in m] for col in lat._cols])
+
+
 def apply(a: QMatrix, lat: Lattice) -> Lattice:
     """Image lattice a(L), canonicalized; it has full rank iff a is invertible."""
     if a.n != lat.n:
         raise ValueError("dimension mismatch")
-    d, m = a._int_view()
-    image = [[sum(map(mul, row, col)) for row in m] for col in lat._cols]
     try:
-        return Lattice(lat.ctx, _Span(lat._shift + vp_int(d, lat.ctx.p), image))
+        return Lattice(lat.ctx, _image_span(a, lat))
     except ValueError as exc:
         raise Singular("cannot apply a singular matrix to a lattice") from exc
 

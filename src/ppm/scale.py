@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
+from .dynamics import BOUNDED, UNBOUNDED, GeneratorSet, bounded_group
 from .errors import CapExceeded, InternalInvariantViolation, Singular
 from .linalg import Lattice, NewtonPolygon, QMatrix, apply, char_poly, lattice_index, \
     lattice_intersect, newton_polygon
@@ -99,13 +99,14 @@ def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
     """A lattice L with alpha(L) = L, or None when no such lattice exists.
 
     Exists exactly when s(alpha) = s(alpha^{-1}) = 1, i.e. alpha is type
-    R; it is then reached by saturating the standard lattice under alpha
-    and its inverse (dynamics.bounded_group) within 8n growth rounds.
+    R. dynamics.bounded_group decides that first and returns a certified
+    UNBOUNDED, hence None, when it fails; otherwise it saturates the
+    standard lattice under alpha and its inverse within 8n growth rounds.
     """
-    if not type_r_matrix(a, ctx):  # raises Singular first
-        return None
     cap = 8 * a.n
     res = bounded_group(GeneratorSet.of(ctx, [a]), rounds_cap=cap + 1)  # + the confirming round
+    if res.verdict == UNBOUNDED:
+        return None
     if res.verdict != BOUNDED:
         raise CapExceeded(f"invariant-lattice saturation ran past {cap} rounds",
                           res.divisor_trace)

@@ -14,3 +14,15 @@ def eight_cycle():
     exps = [-10 * min(i, 8 - i) for i in range(8)]
     return QMatrix([[F(3) ** (exps[j] - exps[i]) if j == (i + 1) % 8 else 0
                      for j in range(8)] for i in range(8)])
+
+
+@pytest.fixture
+def steep_symmetric():
+    """(n, c) -> generators of S_n, the n-cycle and the transposition
+    (0 1) as permutation matrices, conjugated by diag(3^(c min(i, n - i)))."""
+    def gens(n, c):
+        exps = [c * min(i, n - i) for i in range(n)]
+        perms = ([(i + 1) % n for i in range(n)], [1, 0, *range(2, n)])
+        return [QMatrix([[F(3) ** (exps[j] - exps[i]) if perm[i] == j else 0
+                          for j in range(n)] for i in range(n)]) for perm in perms]
+    return gens

@@ -72,6 +72,14 @@ def test_flag_of_the_eight_cycle_is_certified(eight_cycle, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dims"] == [0, 1, 8]
 
 
+def test_flag_of_a_steep_symmetric_group_is_certified(steep_symmetric, tmp_path, capsys):
+    path = tmp_path / "s8.json"
+    path.write_text(json.dumps({"p": 3, "n": 8, "gens": [
+        matio.matrix_doc(g, PContext(3))["entries"] for g in steep_symmetric(8, 20)]}))
+    assert main(["flag", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dims"] == [0, 1, 8]
+
+
 def test_order_command(capsys):
     assert main(["order", "GLn_Zp", "-n", "2", "-p", "3"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2^4 · 3^inf"

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ppm.dynamics
+import ppm.linalg
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
 from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness, \
     _complete_basis, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
@@ -86,18 +87,23 @@ def test_commuting_unipotent_pair_is_bounded_with_enlarged_lattice():
 
 
 def test_unbounded_by_monotone_divisor_divergence():
-    res = bounded_group(GeneratorSet.of(CTX3, [QMatrix.diagonal([F(1, 3), 1])]))
+    # UNBOUNDED is certified before any round: the generator is not type R
+    g1 = QMatrix.diagonal([F(1, 3), 1])
+    res = bounded_group(GeneratorSet.of(CTX3, [g1]))
     assert res.verdict == UNBOUNDED
-    mins = [min(d) for d in res.divisor_trace]
-    assert all(x > y for x, y in zip(mins, mins[1:]))
-    assert mins[-1] <= -32
+    assert (res.rounds, res.divisor_trace, res.invariant) == (0, (), None)
+    assert res.witness.word_str() == "g1" and res.witness.matrix == g1
+    w = res.witness.matrix
+    assert scale_newton(w, CTX3) > 0 or scale_newton(w.inverse(), CTX3) > 0
 
-    # this pair alternates which divisor drops; the windowed evidence still fires
-    res = bounded_group(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]), divisor_threshold=8)
-    assert res.verdict == UNBOUNDED
+    # both generators are type R (their product is not): the divisors keep
+    # falling, yet divergence alone proves nothing, so the cap is reached
+    res = bounded_group(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]))
+    assert res.verdict == INCONCLUSIVE
+    assert res.rounds == 64 and res.caps == {"rounds": 64} and res.witness is None
     mins = [min(d) for d in res.divisor_trace]
+    assert len(mins) == 64
     assert all(x >= y for x, y in zip(mins, mins[1:]))
-    assert mins[-1] <= -8
 
 
 def test_divergence_evidence_never_overrules_a_type_r_generator(eight_cycle):
@@ -118,8 +124,67 @@ def test_a_saturation_past_its_round_cap_is_inconclusive(eight_cycle):
     res = bounded_group(GeneratorSet.of(CTX3, [eight_cycle]), rounds_cap=2)
     assert res.verdict == INCONCLUSIVE
     assert res.rounds == 2 and res.invariant is None
-    assert res.caps == {"rounds": 2, "divisor_threshold": 32}
+    assert res.caps == {"rounds": 2}
     assert [min(d) for d in res.divisor_trace] == [-10, -20]
+
+
+def test_one_canonicalisation_per_saturation_round(eight_cycle, monkeypatch):
+    # one Hermite form per round for the grown lattice, then one per
+    # generator and inverse to re-verify the fixpoint
+    calls = []
+    hermite = ppm.linalg._hermite
+
+    def counting(p, span):
+        calls.append(p)
+        return hermite(p, span)
+
+    monkeypatch.setattr(ppm.linalg, "_hermite", counting)
+    for gens, expected in (([eight_cycle], 7), ([U1, U_THIRD], 6)):
+        group = GeneratorSet.of(CTX3, gens)
+        calls.clear()
+        res = bounded_group(group)
+        assert res.verdict == BOUNDED
+        assert len(calls) == res.rounds + 2 * len(gens) == expected
+
+
+@pytest.mark.parametrize("c", [10, 20, 40])
+@pytest.mark.parametrize("n", [6, 8])
+def test_steeply_conjugated_symmetric_groups_are_bounded(steep_symmetric, n, c):
+    # S_n is finite however steep the conjugation, and steep conjugations
+    # once passed for divergence
+    group = GeneratorSet.of(CTX3, steep_symmetric(n, c))
+    res = bounded_group(group)
+    assert res.verdict == BOUNDED
+    assert all(apply(g, res.invariant) == res.invariant for g in group.gens)
+    assert ku_flag(group).dims == (0, 1, n)
+
+
+@st.composite
+def steep_signed_permutations(draw):
+    """(p, e, letters): 1-3 signed permutations (perm, signs) of size n <= 5
+    and exponents e in [-30, 30], for a group conjugated by diag(p^e)."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5))
+    exps = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+    letters = draw(st.lists(st.tuples(st.permutations(range(n)), signs), min_size=1, max_size=3))
+    return p, exps, letters
+
+
+@settings(max_examples=100, deadline=None)
+@given(steep_signed_permutations())
+# divergence evidence once called this finite group UNBOUNDED after 3 rounds
+@example((2, [-26, 5, -10, -9, 29], [([2, 3, 0, 1, 4], [-1, 1, 1, -1, -1]),
+                                     ([3, 4, 2, 0, 1], [1, 1, 1, 1, 1])]))
+def test_law_conjugated_finite_groups_are_bounded_with_a_flag(case):
+    p, exps, letters = case
+    n = len(exps)
+    group = GeneratorSet.of(PContext(p), [
+        QMatrix([[signs[i] * F(p) ** (exps[j] - exps[i]) if perm[i] == j else 0
+                  for j in range(n)] for i in range(n)]) for perm, signs in letters])
+    res = bounded_group(group)
+    assert res.verdict == BOUNDED
+    assert ku_flag(group) is not None
 
 
 def test_flag_for_the_shear_pair():

@@ -9,26 +9,35 @@ diagonals, conjugated elementary products, unipotents with 1/p entries
 and an expanding corner, at p in {2, 3} and n in {2, 3}; the diagonals
 and the corners are unbounded, so with the sampler off they reach the
 flag search past an UNBOUNDED verdict. A deliberate change of any answer
-updates DIGEST and says why.
+updates DIGEST and says why. It last changed when UNBOUNDED came to need
+a certificate: the 20 UNBOUNDED sets, called after 30-32 rounds
+of divergence evidence, are now called at round 0 with a generator that
+is not type R as witness; the 2 upper/lower unipotent pairs, whose
+generators are all type R, went from UNBOUNDED at round 63 to
+INCONCLUSIVE at the 64-round cap. The 18 BOUNDED results and every flag
+stayed the same.
 
 The second test checks the lemma behind ku_flag on the same sample: a
 group that preserves a flag whose diagonal blocks fix lattices L_1, ...,
 L_m fixes the lattice sum_i p^(N i) L_i in the flag basis, once N beats
 the denominators of the off-diagonal blocks; so each returned flag
-certifies a bounded group."""
+certifies a bounded group. The third checks that every UNBOUNDED result
+carries its certificate: a one-letter witness, the generator that is not
+type R."""
 import hashlib
 import random
 from fractions import Fraction as F
 from functools import cache
 
-from ppm.dynamics import FlagDecomposition, GeneratorSet, bounded_group, ku_flag
+from ppm.dynamics import UNBOUNDED, FlagDecomposition, GeneratorSet, bounded_group, ku_flag
 from ppm.errors import NotTypeR
 from ppm.linalg import Lattice, QMatrix, apply
 from ppm.qpcore import PContext
+from ppm.scale import scale_newton
 
 from test_identical_answers import _canon, _conjugator, _elementary
 
-DIGEST = "10523bde798e2d0ef8879926968e17f1a686b75e63c12f073252e0f493cc808e"
+DIGEST = "36f0ec2258c282fc4241922dca4738c6de414242e698d40578a00683896de573"
 
 
 def _unipotent(rng, p, n):
@@ -129,3 +138,14 @@ def test_every_sampled_flag_fixes_a_sleeved_lattice():
     for flag in flags:
         assert any(all(apply(conj, lat) == lat for conj in flag.conjugated_gens)
                    for lat in (_sleeved_lattice(flag, e) for e in range(65)))
+
+
+def test_every_unbounded_result_carries_a_generator_that_is_not_type_r():
+    unbounded = [(group, res.witness) for group, res, *_ in _results()
+                 if res.verdict == UNBOUNDED]
+    assert unbounded
+    for group, witness in unbounded:
+        (i, sign), = witness.word
+        assert sign == 1 and witness.matrix == group.gens[i]
+        w = witness.matrix
+        assert scale_newton(w, group.ctx) > 0 or scale_newton(w.inverse(), group.ctx) > 0
