@@ -16,15 +16,16 @@ generator always has an invariant lattice, so only the cap stops it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, _image_span, _joined, _lowest_terms, apply, char_poly, \
-    elementary_divisors, rref
+from .linalg import Lattice, QMatrix, _lowest_terms, apply, char_poly, elementary_divisors, \
+    grow, rref
 from .qpcore import PContext, vp_frac
 
 _DEFAULT_WORD_LEN = 4
@@ -36,7 +37,6 @@ class GeneratorSet:
     ctx: PContext
     n: int
     gens: tuple
-    inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.gens)
@@ -44,9 +44,14 @@ class GeneratorSet:
             raise ValueError("need at least one generator")
         if any(g.n != self.n for g in gens):
             raise ValueError("generator dimensions disagree")
+        if any(g.det() == 0 for g in gens):
+            raise Singular("matrix is singular")
         object.__setattr__(self, "gens", gens)
-        # each generator is inverted once, here; that also rejects singular ones
-        object.__setattr__(self, "inverses", tuple(g.inverse() for g in gens))
+
+    @cached_property
+    def inverses(self) -> tuple:
+        """Each generator inverted once, on first read."""
+        return tuple(g.inverse() for g in self.gens)
 
     @classmethod
     def of(cls, ctx: PContext, matrices) -> "GeneratorSet":
@@ -167,8 +172,7 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
     lat = start
     trace = []
     for round_no in range(1, rounds_cap + 1):
-        grown = Lattice(ctx, _joined(ctx.p, lat._span(),
-                                     *(_image_span(h, lat) for h in gens_and_invs)))
+        grown = grow(lat, gens_and_invs)
         if grown == lat:
             if any(apply(h, lat) != lat for h in gens_and_invs):
                 raise InternalInvariantViolation(

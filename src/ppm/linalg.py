@@ -16,6 +16,8 @@ run in integers and clear a row or column y against the pivot x = u p^e
 by one step, y <- (u y - (y_t / p^e) x) / g with g = gcd(u, y_t / p^e);
 the Smith form records its row operations in an identity block, from
 which ``elementary_divisors_with_directions`` reads its directions.
+``grow`` sums a lattice with its images under several matrices in one
+Hermite form; saturation rounds and tidying steps are built on it.
 """
 from __future__ import annotations
 
@@ -587,6 +589,15 @@ def apply(a: QMatrix, lat: Lattice) -> Lattice:
         return Lattice(lat.ctx, _image_span(a, lat))
     except ValueError as exc:
         raise Singular("cannot apply a singular matrix to a lattice") from exc
+
+
+def grow(lat: Lattice, mats) -> Lattice:
+    """L + h_1(L) + ... + h_k(L) for square matrices h_i, in one Hermite
+    form on the joined spans: the images are never canonicalised. It has
+    full rank whatever the h_i, since it contains L."""
+    if any(h.n != lat.n for h in mats):
+        raise ValueError("dimension mismatch")
+    return Lattice(lat.ctx, _joined(lat.ctx.p, lat._span(), *(_image_span(h, lat) for h in mats)))
 
 
 def _local_snf(p: int, a):

@@ -4,7 +4,9 @@ The scale s(alpha) is the minimal index [alpha(U) : U ^ alpha(U)] over
 compact open subgroups U, always a power of p here. The Newton-polygon
 formula gives the certified exponent; the tidying iteration produces a
 minimizing lattice as a procedural witness. The two must agree or the
-operation fails loudly.
+operation fails loudly. A tidying step reads its index as [L + alpha(L) : L],
+one Hermite form on a sum, and intersects L with alpha(L) only when the
+iteration goes on.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .dynamics import BOUNDED, UNBOUNDED, GeneratorSet, bounded_group
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, NewtonPolygon, QMatrix, apply, char_poly, lattice_index, \
+from .linalg import Lattice, NewtonPolygon, QMatrix, apply, char_poly, grow, \
     lattice_intersect, newton_polygon
 from .qpcore import PContext
 
@@ -69,6 +71,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
     """Iterate L_k = L_{k-1} ^ alpha(L_{k-1}) from the standard lattice
     until the index exponent reaches the Newton value; that lattice is a
     minimizer (tidy for alpha).
+
+    Each step's index is read off one sum, [alpha(L) : L ^ alpha(L)] =
+    [L + alpha(L) : L] (the second isomorphism theorem), so the
+    intersection runs only when the iteration continues.
     """
     polygon = _polygon(a, ctx)
     target = polygon.negative_exponent()
@@ -79,9 +85,7 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
     lat = Lattice.standard(ctx, a.n)
     trace = []
     for k in range(cap + 1):
-        image = apply(a, lat)
-        meet = lattice_intersect(image, lat)
-        e = lattice_index(image, meet)
+        e = lat.det_valuation() - grow(lat, [a]).det_valuation()
         trace.append((k, e))
         if e < target:
             raise InternalInvariantViolation(
@@ -90,7 +94,7 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
             raise InternalInvariantViolation("tidying index increased")
         if e == target:
             return ScaleReport(target, lat, tuple(trace), True)
-        lat = meet
+        lat = lattice_intersect(apply(a, lat), lat)
     raise CapExceeded(
         f"tidying did not certify the scale within {cap} steps", tuple(trace))
 

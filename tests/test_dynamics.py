@@ -13,7 +13,7 @@ from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness
 from ppm.errors import NotTypeR, Singular
 from ppm.linalg import Lattice, QMatrix, apply, rref
 from ppm.qpcore import PContext, vp
-from ppm.scale import scale_newton
+from ppm.scale import invariant_lattice, scale_newton
 
 CTX3 = PContext(3)
 
@@ -306,6 +306,27 @@ def test_saturation_inverts_its_reference_lattice_once(eight_cycle, monkeypatch)
     res = bounded_group(group)
     assert res.verdict == BOUNDED and res.rounds == 5
     assert len(calls) <= 1
+
+
+def test_generators_are_inverted_only_when_the_inverses_are_read(monkeypatch):
+    calls = []
+    inverse = QMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(QMatrix, "inverse", counting)
+    a = QMatrix.diagonal([F(1, 3), 1])  # not type R: UNBOUNDED at round 0
+    assert invariant_lattice(a, CTX3) is None
+    assert calls == []
+    group = GeneratorSet.of(CTX3, [a])
+    assert calls == []
+    assert group.inverses == (QMatrix.diagonal([3, 1]),) and calls == [a]
+    group.inverses  # noqa: B018
+    assert calls == [a]
+    with pytest.raises(Singular, match="singular"):
+        GeneratorSet.of(CTX3, [U1, QMatrix([[1, 1], [2, 2]])])
 
 
 def _greedy_completion(cols, n):

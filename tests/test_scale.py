@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ppm.dynamics
+import ppm.linalg
 import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import CapExceeded, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, lattice_intersect
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, grow, lattice_index, lattice_intersect, \
+    lattice_sum
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton, scale_tidy
 
@@ -188,7 +190,44 @@ def test_one_intersection_per_tidy_step(monkeypatch):
               QMatrix([[3, F(1, 9)], [0, 1]]), QMatrix.diagonal([F(1, 9), 1, 3])):
         calls.clear()
         report = scale_tidy(a, CTX3)
-        assert len(calls) == len(report.iteration_trace)
+        # one per step that continues; the final step reads its index off a sum
+        assert len(calls) == len(report.iteration_trace) - 1
+
+
+def test_hermite_forms_per_tidy_call(monkeypatch):
+    # a continuing step: the sum, the image, and the intersection's two
+    # duals; the final step: the sum alone
+    calls = []
+    hermite = ppm.linalg._hermite
+
+    def counting(p, span):
+        calls.append(p)
+        return hermite(p, span)
+
+    monkeypatch.setattr(ppm.linalg, "_hermite", counting)
+    for a, expected in ((QMatrix([[1, F(1, 3)], [0, 1]]), 5),
+                        (QMatrix([[1, F(1, 27)], [0, 1]]), 5),
+                        (QMatrix([[3, F(1, 9)], [0, 1]]), 5),
+                        (QMatrix.diagonal([F(1, 9), 1, 3]), 1)):
+        calls.clear()
+        steps = len(scale_tidy(a, CTX3).iteration_trace)
+        assert len(calls) == 4 * (steps - 1) + 1 == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible())
+def test_law_a_tidying_index_read_off_the_sum_is_the_index_of_the_intersection(case):
+    """[L + a(L) : L] = [a(L) : L ^ a(L)] at every lattice of a tidying run,
+    and grow(L, [a]) is the sum L + a(L)."""
+    a, ctx = case
+    lat = Lattice.standard(ctx, a.n)
+    for _ in range(len(scale_tidy(a, ctx).iteration_trace)):
+        image = apply(a, lat)
+        meet = lattice_intersect(image, lat)
+        grown = grow(lat, [a])
+        assert grown == lattice_sum(lat, image)
+        assert lat.det_valuation() - grown.det_valuation() == lattice_index(image, meet)
+        lat = meet
 
 
 def test_a_tidying_cap_raises_with_the_trace_so_far():
