@@ -44,9 +44,14 @@ class GeneratorSet:
             raise ValueError("need at least one generator")
         if any(g.n != self.n for g in gens):
             raise ValueError("generator dimensions disagree")
-        if any(g.det() == 0 for g in gens):
-            raise Singular("matrix is singular")
         object.__setattr__(self, "gens", gens)
+        if 0 in self.dets:
+            raise Singular("matrix is singular")
+
+    @cached_property
+    def dets(self) -> tuple:
+        """Each generator's determinant, computed once."""
+        return tuple(g.det() for g in self.gens)
 
     @cached_property
     def inverses(self) -> tuple:
@@ -105,7 +110,7 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     ctx, n, p = group.ctx, group.n, group.ctx.p
     letters = []  # (letter, d, columns of N, v_p(det)) for g = N / d and g^-1
     for i, pair in enumerate(zip(group.gens, group.inverses)):
-        v = vp_frac(pair[0].det(), p)
+        v = vp_frac(group.dets[i], p)
         for sign, h in zip((1, -1), pair):
             d, rows = h._int_view()
             letters.append(((i, sign), d, tuple(zip(*rows)), sign * v))

@@ -285,12 +285,6 @@ class NewtonPolygon:
     def all_zero(self) -> bool:
         return self.infinite_count == 0 and all(s == 0 for s, _ in self.slopes)
 
-    def negative_exponent(self) -> int:
-        """Sum of -v over roots with v < 0. Always an integer."""
-        total = sum(-s * m for s, m in self.slopes if s < 0)
-        assert total.denominator == 1
-        return int(total)
-
     def expanded(self):
         out = []
         for s, m in self.slopes:

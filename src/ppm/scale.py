@@ -1,12 +1,12 @@
 """Scale of a linear automorphism of Q_p^n, computed two independent ways.
 
 The scale s(alpha) is the minimal index [alpha(U) : U ^ alpha(U)] over
-compact open subgroups U, always a power of p here. The Newton-polygon
-formula gives the certified exponent; the tidying iteration produces a
-minimizing lattice as a procedural witness. The two must agree or the
-operation fails loudly. A tidying step reads its index as [L + alpha(L) : L],
-one Hermite form on a sum, and intersects L with alpha(L) only when the
-iteration goes on.
+compact open subgroups U, always a power of p here. The certified exponent
+is -min v_p(c_i) over the char poly's coefficients, the lowest point of its
+Newton polygon. The tidying iteration must reach it, or the operation fails
+loudly; it yields a minimizing lattice as a procedural witness. A tidying
+step reads its index as [L + alpha(L) : L], one Hermite form on a sum, and
+intersects L with alpha(L) only when the iteration goes on.
 """
 from __future__ import annotations
 
@@ -14,41 +14,30 @@ from dataclasses import dataclass
 
 from .dynamics import BOUNDED, UNBOUNDED, GeneratorSet, bounded_group
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, NewtonPolygon, QMatrix, apply, char_poly, grow, \
-    lattice_intersect, newton_polygon
-from .qpcore import PContext
+from .linalg import Lattice, QMatrix, apply, char_poly, grow, lattice_intersect
+from .qpcore import PContext, vp_frac
 
 
-def _polygon(a: QMatrix, ctx: PContext) -> NewtonPolygon:
+def _valuations(a: QMatrix, ctx: PContext) -> list:
     poly = char_poly(a)
     if poly[-1] == 0:  # the constant term is +-det(a)
         raise Singular("scale is only defined for invertible maps")
-    return newton_polygon(poly, ctx)
+    return [vp_frac(c, ctx.p) for c in poly]
 
 
 def scale_newton(a: QMatrix, ctx: PContext) -> int:
-    """Exponent m with s(alpha) = p^m: total expansion of the eigenvalues.
-
-    m is the sum of -v over eigenvalue valuations v < 0, equivalently
-    the product of |lambda| over eigenvalues with |lambda| > 1, in
-    exponent form.
-    """
-    return _polygon(a, ctx).negative_exponent()
+    """Exponent m with s(alpha) = p^m: the sum of -v over eigenvalue valuations
+    v < 0, which is the fall of the Newton polygon from (n, 0) to its lowest
+    point, so m = -min v_p(c_i)."""
+    return -min(_valuations(a, ctx))
 
 
-def default_iteration_cap(polygon: NewtonPolygon, n: int) -> int:
-    """Generous over-approximation of the tidying length.
-
-    Reads the maximal vertical excursion off the Newton polygon of an
-    n x n map: the iteration needs at most about n * excursion steps to
-    decouple the expanding and contracting directions.
-    """
-    excursion = 0
-    for val, mult in polygon.slopes:
-        rise = abs(val * mult)
-        assert rise.denominator == 1
-        excursion = max(excursion, int(rise))
-    return n * (1 + excursion) * 4
+def default_iteration_cap(valuations, n: int) -> int:
+    """Generous over-approximation of the tidying length, from the char poly's
+    coefficient valuations, leading first. A segment of the Newton polygon
+    rises at most s(alpha) = -min v_p(c_i) or falls at most s(alpha^-1) =
+    s(alpha) + v(det); the cap is n * (1 + the larger) * 4 steps."""
+    return n * (1 - min(valuations) + max(0, valuations[-1])) * 4
 
 
 @dataclass(frozen=True)
@@ -76,10 +65,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
     [L + alpha(L) : L] (the second isomorphism theorem), so the
     intersection runs only when the iteration continues.
     """
-    polygon = _polygon(a, ctx)
-    target = polygon.negative_exponent()
+    vals = _valuations(a, ctx)
+    target = -min(vals)
     if cap is None:
-        cap = default_iteration_cap(polygon, a.n)
+        cap = default_iteration_cap(vals, a.n)
     elif cap < 0:
         raise ValueError("cap must be non-negative")
     lat = Lattice.standard(ctx, a.n)

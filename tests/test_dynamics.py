@@ -108,8 +108,8 @@ def test_unbounded_by_monotone_divisor_divergence():
 
 def test_divergence_evidence_never_overrules_a_type_r_generator(eight_cycle):
     # the first four rounds look like divergence (minimum divisors -10 down
-    # to -40, past the threshold 32), but a type-R generator has an
-    # invariant lattice, so saturation must go on until it is reached
+    # to -40), but a type-R generator has an invariant lattice, so
+    # saturation must go on until it is reached
     group = GeneratorSet.of(CTX3, [eight_cycle])
     res = bounded_group(group)
     assert res.verdict == BOUNDED
@@ -294,7 +294,7 @@ def test_flag_certificates_on_random_integral_groups():
 
 
 def test_saturation_inverts_its_reference_lattice_once(eight_cycle, monkeypatch):
-    group = GeneratorSet.of(CTX3, [eight_cycle])  # inverts the generator
+    group = GeneratorSet.of(CTX3, [eight_cycle])  # inverts nothing yet
     calls = []
     inverse = QMatrix.inverse
 
@@ -327,6 +327,22 @@ def test_generators_are_inverted_only_when_the_inverses_are_read(monkeypatch):
     assert calls == [a]
     with pytest.raises(Singular, match="singular"):
         GeneratorSet.of(CTX3, [U1, QMatrix([[1, 1], [2, 2]])])
+
+
+def test_one_determinant_per_generator(monkeypatch):
+    calls = []
+    det = QMatrix.det
+
+    def counting(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(QMatrix, "det", counting)
+    for gens in ([U1, LOWER_THIRD], [ROT, U1, QMatrix.diagonal([3, 1])], [U_THIRD]):
+        calls.clear()
+        group = GeneratorSet.of(CTX3, gens)
+        type_r_witness_search(group)
+        assert calls == gens  # one each, shared by the singularity check and the search
 
 
 def _greedy_completion(cols, n):

@@ -10,9 +10,9 @@ import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import CapExceeded, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, grow, lattice_index, lattice_intersect, \
-    lattice_sum
-from ppm.qpcore import PContext, vp
-from ppm.scale import invariant_lattice, scale_newton, scale_tidy
+    lattice_sum, newton_polygon
+from ppm.qpcore import PContext, vp, vp_frac
+from ppm.scale import default_iteration_cap, invariant_lattice, scale_newton, scale_tidy
 
 CTX3 = PContext(3)
 
@@ -176,6 +176,31 @@ def test_law_scale_of_a_power(case, k):
     power = a ** k
     assert scale_newton(power, ctx) == k * scale_newton(a, ctx)
     assert scale_tidy(power, ctx).scale_exponent == k * scale_newton(a, ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible())
+def test_law_the_scale_is_the_lowest_point_of_the_newton_polygon(case):
+    """-min v_p(c_i) is the total expansion read off the hull's slopes, and
+    the default cap is never below 4n(1 + the largest rise of one segment)."""
+    a, ctx = case
+    poly = char_poly(a)
+    slopes = newton_polygon(poly, ctx).slopes
+    assert scale_newton(a, ctx) == sum(-s * m for s, m in slopes if s < 0)
+    vals = [vp_frac(c, ctx.p) for c in poly]
+    assert default_iteration_cap(vals, a.n) >= 4 * a.n * (1 + max(abs(s * m) for s, m in slopes))
+
+
+def test_the_scale_builds_no_newton_polygon(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("newton_polygon called")
+
+    monkeypatch.setattr(ppm.linalg, "newton_polygon", refuse)
+    monkeypatch.setattr(ppm.scale, "newton_polygon", refuse, raising=False)
+    for a, m in ((QMatrix.diagonal([F(1, 9), 1, 3]), 2), (QMatrix([[3, F(1, 9)], [0, 1]]), 0),
+                 (QMatrix([[0, 3], [1, 0]]).inverse(), 1), (QMatrix.identity(2), 0)):
+        assert scale_newton(a, CTX3) == m
+        assert scale_tidy(a, CTX3).scale_exponent == m
 
 
 def test_one_intersection_per_tidy_step(monkeypatch):
