@@ -182,7 +182,7 @@ def analyze(spec: GroupSpec, k: int, spot_checks: int = 0,
 
 def _finitely_generated_verdict(spec, k):
     try:
-        flag = ku_flag(spec.gens)  # runs the type-R word search first
+        flag = ku_flag(spec.gens)  # the type-R word search is its fallback
     except NotTypeR as exc:
         word = exc.witness.word_str()
         return _verdict(k, NOT_DENSE, [

@@ -6,9 +6,11 @@ with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
 bounded. Saturation runs in one loop, ``bounded_group``; the flag climbs
 the tower of common fixed subspaces by linear algebra alone and runs
-that loop once, on the last quotient, where a verdict other than
-BOUNDED ends the flag search inconclusive. Flag certificates are
-re-verified before they are returned.
+that loop on the last quotient, where a verdict other than BOUNDED ends
+the flag search inconclusive. The flag checks only the generators
+before saturating; the sampler is its fallback, run over all short
+words only when 2n rounds of saturation have not stopped. Flag
+certificates are re-verified before they are returned.
 Every UNBOUNDED verdict is certified by the scale criterion: a generator
 is not type R. When every generator is type R, the verdict is BOUNDED or
 INCONCLUSIVE (the round cap ran out), never UNBOUNDED; one such
@@ -292,8 +294,17 @@ def ku_flag(group: GeneratorSet,
     sum_i p^(N i) L_i once N beats the p-adic denominators of the
     generators' off-diagonal blocks, so the group is bounded. Any returned
     decomposition has passed the exact certificate checks.
+
+    The sampler runs last, yet the answer is that of searching all words
+    up to word_len first. The letters are checked first, so a witness of
+    length 1 is the one the search returns first. Each climbing step is
+    block triangular with an identity block, so once the letters pass,
+    every quotient generator is type R and the saturation cannot end
+    UNBOUNDED. If it stops within 2n rounds, the lemma above makes the
+    group bounded, so every word is type R; only otherwise does the whole
+    search run, followed by the saturation with the default cap.
     """
-    witness = type_r_witness_search(group, word_len)
+    witness = type_r_witness_search(group, min(word_len, 1))  # the letters
     if witness is not None:
         raise NotTypeR(witness)
     ctx, n = group.ctx, group.n
@@ -312,7 +323,13 @@ def ku_flag(group: GeneratorSet,
         t = t * QMatrix(block)
         dims.append(d)
         lattices.append(Lattice.standard(ctx, d))
-    res = bounded_group(rest)
+    # at most the default cap, so this never stops where the fallback could not
+    res = bounded_group(rest, min(2 * rest.n, _DEFAULT_ROUNDS))
+    if res.verdict == INCONCLUSIVE:
+        witness = type_r_witness_search(group, word_len)
+        if witness is not None:
+            raise NotTypeR(witness)
+        res = bounded_group(rest)
     if res.verdict != BOUNDED:
         return None
     dims.append(rest.n)

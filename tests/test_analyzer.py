@@ -170,27 +170,32 @@ def test_parse_group_grammar():
         parse_group("Sporadic", CTX3)
 
 
-def test_finitely_generated_analyze_runs_the_word_search_once(monkeypatch):
+def test_finitely_generated_analyze_searches_past_the_letters_only_when_unresolved(
+        monkeypatch):
+    # the letters are checked first; the full search runs only when the
+    # saturation has not stopped within 2n rounds, so a bounded group is
+    # searched at depth 1 only
     import ppm.analyzer
     import ppm.dynamics
-    calls = []
+    depths = []
     search = ppm.dynamics.type_r_witness_search
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def recording(group, word_len=4):
+        depths.append(word_len)
+        return search(group, word_len)
 
     # patch every namespace that could hold the search
-    monkeypatch.setattr(ppm.dynamics, "type_r_witness_search", counting)
-    monkeypatch.setattr(ppm.analyzer, "type_r_witness_search", counting, raising=False)
+    monkeypatch.setattr(ppm.dynamics, "type_r_witness_search", recording)
+    monkeypatch.setattr(ppm.analyzer, "type_r_witness_search", recording, raising=False)
     u1 = QMatrix([[1, 1], [0, 1]])
     type_r_pair = [u1, QMatrix([[1, F(1, 3)], [0, 1]])]
     witness_pair = [u1, QMatrix([[1, 0], [F(1, 3), 1]])]
-    for gens, conclusion in [(type_r_pair, INCONCLUSIVE), (witness_pair, NOT_DENSE)]:
-        calls.clear()
+    for gens, conclusion, expected in [(type_r_pair, INCONCLUSIVE, [1]),
+                                       (witness_pair, NOT_DENSE, [1, 4])]:
+        depths.clear()
         v = analyze(GroupSpec(FINITELY_GENERATED, CTX3, 2, GeneratorSet.of(CTX3, gens)), 4)
         assert v.conclusion == conclusion
-        assert len(calls) == 1
+        assert depths == expected
     assert v.justification[0] == (
         "eigenvalue-witness",
         "word g1·g2 has an eigenvalue of absolute value != 1, "

@@ -255,6 +255,52 @@ def test_ku_flag_saturates_once(monkeypatch):
     assert calls == [1]
 
 
+def _record_saturations_and_searches(monkeypatch):
+    """Patch ppm.dynamics so that each bounded_group call records
+    (n, rounds_cap) and each type_r_witness_search call its word_len."""
+    saturations, depths = [], []
+
+    def saturating(group, rounds_cap=64):
+        saturations.append((group.n, rounds_cap))
+        return bounded_group(group, rounds_cap)
+
+    def searching(group, word_len=4):
+        depths.append(word_len)
+        return type_r_witness_search(group, word_len)
+
+    monkeypatch.setattr(ppm.dynamics, "bounded_group", saturating)
+    monkeypatch.setattr(ppm.dynamics, "type_r_witness_search", searching)
+    return saturations, depths
+
+
+def test_a_bounded_flag_checks_only_the_letters(eight_cycle, steep_symmetric, monkeypatch):
+    # the saturation stops within 2n rounds, so the search past the letters,
+    # which a bounded group cannot fail, never runs
+    heis = [QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])]
+    saturations, depths = _record_saturations_and_searches(monkeypatch)
+    for gens, dims in (([eight_cycle], (0, 1, 8)), (steep_symmetric(8, 20), (0, 1, 8)),
+                       (heis, (0, 1, 2, 3))):
+        saturations.clear()
+        depths.clear()
+        flag = ku_flag(GeneratorSet.of(CTX3, gens))
+        assert flag.dims == dims
+        last = dims[-1] - dims[-2]
+        assert saturations == [(last, 2 * last)]
+        assert depths == [1]
+
+
+def test_an_unresolved_saturation_falls_back_to_the_word_search(monkeypatch):
+    # both generators are type R, the group is not bounded: 4 rounds run out,
+    # then the whole search finds g1·g2, and no 64-round saturation runs
+    saturations, depths = _record_saturations_and_searches(monkeypatch)
+    with pytest.raises(NotTypeR) as info:
+        ku_flag(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]))
+    assert info.value.witness.word_str() == "g1·g2"
+    assert saturations == [(2, 4)]
+    assert depths == [1, 4]
+
+
 def test_witness_search_rejects_a_negative_word_length():
     group = GeneratorSet.of(CTX3, [U1])
     with pytest.raises(ValueError, match="word_len"):
@@ -434,3 +480,89 @@ def test_an_integral_matrix_is_type_r_iff_its_determinant_is_a_unit(p, n, data):
                                    min_size=n, max_size=n)))
     assume(a.det() != 0)
     assert type_r_matrix(a, PContext(p)) == (vp(a.det(), PContext(p)) == 0)
+
+
+# -- ku_flag answers as if it searched all words first -----------------------
+
+def searching_first(group, word_len):
+    """The order ku_flag's answer must match: the whole word search, then
+    the flag with no search."""
+    witness = type_r_witness_search(group, word_len)
+    if witness is not None:
+        raise NotTypeR(witness)
+    return ku_flag(group, word_len=0)
+
+
+def _flag_outcome(find, group, word_len):
+    try:
+        flag = find(group, word_len)
+    except NotTypeR as exc:
+        return "witness", exc.witness.word, exc.witness.matrix
+    if flag is None:
+        return None
+    return "flag", flag.dims, flag.flag_basis, flag.quotient_lattices
+
+
+FLAG_FAMILIES = ("separate", "one-conjugator", "rational", "unipotent")
+
+
+@st.composite
+def flag_groups(draw, family):
+    """1-3 generators, n <= 3, p in {2, 3, 5}, from one of four families:
+    unimodular integral matrices conjugated each by its own rational matrix
+    (all type R, mostly unbounded), or all by one (bounded); random rational
+    matrices; unitriangular matrices with entries in {0, +-1, +-1/p}, upper
+    only or an upper and a lower one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+
+    def triangular(entry, upper):
+        return QMatrix([[draw(entry) if (j > i if upper else j < i) else int(i == j)
+                         for j in range(n)] for i in range(n)])
+
+    def invertible(entry):
+        m = QMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+        assume(m.det() != 0)
+        return m
+
+    def unimodular():  # nonzero off-diagonal entries keep it far from the identity
+        signs = QMatrix.diagonal([draw(st.sampled_from([1, -1])) for _ in range(n)])
+        shear = st.sampled_from([1, -1, 2, -2])
+        return triangular(shear, False) * signs * triangular(shear, True)
+
+    rational = st.builds(F, small, st.sampled_from([1, p, p * p]))
+    count = draw(st.integers(1, 3))
+    if family == "separate":
+        conjugators = [invertible(rational) for _ in range(max(count, 2))]
+        gens = [c.inverse() * unimodular() * c for c in conjugators]
+    elif family == "one-conjugator":
+        c = invertible(rational)
+        gens = [c.inverse() * unimodular() * c for _ in range(count)]
+    elif family == "rational":
+        gens = [invertible(rational) for _ in range(count)]
+    else:
+        entry = st.sampled_from([0, 1, -1, F(1, p), F(-1, p)])
+        gens = [triangular(entry, True)]
+        gens.append(triangular(entry, draw(st.booleans())))
+    return GeneratorSet.of(PContext(p), gens)
+
+
+@pytest.mark.parametrize("family", FLAG_FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), word_len=st.sampled_from([0, 1, 2, 4]))
+def test_law_ku_flag_answers_as_if_it_searched_first(family, data, word_len):
+    group = data.draw(flag_groups(family))
+    assert _flag_outcome(ku_flag, group, word_len) \
+        == _flag_outcome(searching_first, group, word_len)
+
+
+@pytest.mark.parametrize("gens, word_len", [
+    ([U1, LOWER_THIRD], 4),  # type-R letters, unbounded: the search runs last
+    ([U1, LOWER_THIRD], 1),
+    ([QMatrix.diagonal([F(1, 3), 1])], 0),  # the saturation ends UNBOUNDED
+], ids=["unipotent-pair-depth-4", "unipotent-pair-depth-1", "contracting-depth-0"])
+def test_ku_flag_answers_as_if_it_searched_first_on_the_fallback_paths(gens, word_len):
+    group = GeneratorSet.of(CTX3, gens)
+    assert _flag_outcome(ku_flag, group, word_len) \
+        == _flag_outcome(searching_first, group, word_len)
