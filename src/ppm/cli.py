@@ -5,7 +5,8 @@
 Subcommands: scale | tidy | typer | flag | order | root | oracle | analyze.
 Global flags: -p <prime>, --precision <N>, --json, --seed <int>.
 Exit codes: 0 success, 2 inconclusive, 3 input error, 4 internal
-invariant violation.
+invariant violation. An inconclusive run under --json also prints
+{"inconclusive": <message>, "trace": <the cap's trace, or null>}.
 """
 from __future__ import annotations
 
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except (CapExceeded, PrecisionExhausted) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"inconclusive": str(exc), "trace": getattr(exc, "trace", None)},
+                             indent=2))
         return EXIT_INCONCLUSIVE
     except (PpmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,8 @@ the Smith form records its row operations in an identity block, from
 which ``elementary_divisors_with_directions`` reads its directions.
 ``grow`` sums a lattice with its images under several matrices in one
 Hermite form; saturation rounds and tidying steps are built on it.
+``dual_image`` maps a lattice's dual, read off its integer adjugate, in
+one Hermite form, as a tidying run does to return its lattice.
 """
 from __future__ import annotations
 
@@ -225,6 +227,11 @@ class QMatrix:
     def _check(self, other):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
+
+    def transpose(self) -> "QMatrix":
+        """The transpose, read off the integer view, which stays in lowest terms."""
+        d, m = self._int_view()
+        return QMatrix._from_view(self.n, (d, *(x for col in zip(*m) for x in col)))
 
     def det(self) -> Fraction:
         """det(N) / d^n, det(N) read off the forward pass of the kernel."""
@@ -567,22 +574,33 @@ def lattice_index(big: Lattice, small: Lattice) -> int:
     return small.det_valuation() - big.det_valuation()
 
 
-def _image_span(a: QMatrix, lat: Lattice) -> _Span:
-    """a(L) as a _Span, uncanonicalised: a = N / d maps the columns of H to
-    N H, and the power of p in d joins the shift."""
+def _image_span(p: int, a: QMatrix, span: _Span) -> _Span:
+    """The image of a span under a, uncanonicalised: a = N / d maps the
+    columns to N col, and the power of p in d joins the shift."""
     d, m = a._int_view()
-    return _Span(lat._shift + vp_int(d, lat.ctx.p),
-                 [[sum(map(mul, row, col)) for row in m] for col in lat._cols])
+    shift, cols = span
+    return _Span(shift + vp_int(d, p), [[sum(map(mul, row, col)) for row in m] for col in cols])
+
+
+def _image(a: QMatrix, lat: Lattice, span: _Span) -> Lattice:
+    """The image under a of span, a lattice in L's space, canonicalised."""
+    if a.n != lat.n:
+        raise ValueError("dimension mismatch")
+    try:
+        return Lattice(lat.ctx, _image_span(lat.ctx.p, a, span))
+    except ValueError as exc:
+        raise Singular("cannot apply a singular matrix to a lattice") from exc
 
 
 def apply(a: QMatrix, lat: Lattice) -> Lattice:
     """Image lattice a(L), canonicalized; it has full rank iff a is invertible."""
-    if a.n != lat.n:
-        raise ValueError("dimension mismatch")
-    try:
-        return Lattice(lat.ctx, _image_span(a, lat))
-    except ValueError as exc:
-        raise Singular("cannot apply a singular matrix to a lattice") from exc
+    return _image(a, lat, lat._span())
+
+
+def dual_image(a: QMatrix, lat: Lattice) -> Lattice:
+    """a(L*), L* the dual of L, in one Hermite form: L*'s span is read off
+    the integer adjugate of L's basis and never canonicalised."""
+    return _image(a, lat, _dual_span(lat))
 
 
 def grow(lat: Lattice, mats) -> Lattice:
@@ -591,7 +609,8 @@ def grow(lat: Lattice, mats) -> Lattice:
     full rank whatever the h_i, since it contains L."""
     if any(h.n != lat.n for h in mats):
         raise ValueError("dimension mismatch")
-    return Lattice(lat.ctx, _joined(lat.ctx.p, lat._span(), *(_image_span(h, lat) for h in mats)))
+    p, span = lat.ctx.p, lat._span()
+    return Lattice(lat.ctx, _joined(p, span, *(_image_span(p, h, span) for h in mats)))
 
 
 def _local_snf(p: int, a):

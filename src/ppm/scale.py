@@ -4,9 +4,10 @@ The scale s(alpha) is the minimal index [alpha(U) : U ^ alpha(U)] over
 compact open subgroups U, always a power of p here. The certified exponent
 is -min v_p(c_i) over the char poly's coefficients, the lowest point of its
 Newton polygon. The tidying iteration must reach it, or the operation fails
-loudly; it yields a minimizing lattice as a procedural witness. A tidying
-step reads its index as [L + alpha(L) : L], one Hermite form on a sum, and
-intersects L with alpha(L) only when the iteration goes on.
+loudly; it yields a minimizing lattice as a procedural witness. The
+iteration runs on the duals of its lattices, where each step is a sum
+E + alpha^T(E) in one Hermite form that gives both the step's index and
+the next lattice; no lattice is intersected.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .dynamics import BOUNDED, UNBOUNDED, GeneratorSet, bounded_group
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, grow, lattice_intersect
+from .linalg import Lattice, QMatrix, char_poly, dual_image, grow
 from .qpcore import PContext, vp_frac
 
 
@@ -57,13 +58,27 @@ class ScaleReport:
 
 
 def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport:
-    """Iterate L_k = L_{k-1} ^ alpha(L_{k-1}) from the standard lattice
+    """Run the tidying iteration L_0 = Z_p^n, L_{k+1} = L_k ^ alpha(L_k)
     until the index exponent reaches the Newton value; that lattice is a
     minimizer (tidy for alpha).
 
-    Each step's index is read off one sum, [alpha(L) : L ^ alpha(L)] =
-    [L + alpha(L) : L] (the second isomorphism theorem), so the
-    intersection runs only when the iteration continues.
+    The iteration runs on the dual side, as a pure sum chain: E_0 = Z_p^n,
+    E_{k+1} = E_k + alpha^T(E_k), one Hermite form per step, and step k's
+    index is e_k = v(det E_k) - v(det E_{k+1}). The lattice returned at
+    step k is U = alpha^k(E_k*), read off the adjugate of E_k's basis in
+    one more Hermite form (U = Z_p^n at k = 0). Three facts:
+
+    - ind_alpha(X*) = ind_{alpha^T}(X), where ind_alpha(X) is
+      [alpha(X) : X ^ alpha(X)] = [X + alpha(X) : X]: dualising swaps sum
+      and intersection and turns alpha into alpha^-T.
+    - ind_alpha(alpha^k X) = ind_alpha(X): alpha^k carries the pair
+      (alpha(X), X ^ alpha(X)) to the pair for alpha^k X.
+    - So e_k = [E_k + alpha^T(E_k) : E_k] is exactly [alpha(U) : U ^ alpha(U)];
+      the returned lattice's index is measured, not inferred.
+
+    Only to see that U, the trace and every CapExceeded trace are those of
+    the intersection chain: by induction L_k* = alpha^-kT(E_k), since
+    L_{k+1}* = L_k* + alpha^-T(L_k*); so L_k = alpha^k(E_k*).
     """
     vals = _valuations(a, ctx)
     target = -min(vals)
@@ -71,10 +86,12 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         cap = default_iteration_cap(vals, a.n)
     elif cap < 0:
         raise ValueError("cap must be non-negative")
-    lat = Lattice.standard(ctx, a.n)
+    transpose = a.transpose()
+    cur = Lattice.standard(ctx, a.n)  # E_k
     trace = []
     for k in range(cap + 1):
-        e = lat.det_valuation() - grow(lat, [a]).det_valuation()
+        grown = grow(cur, [transpose])
+        e = cur.det_valuation() - grown.det_valuation()
         trace.append((k, e))
         if e < target:
             raise InternalInvariantViolation(
@@ -82,8 +99,9 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         if len(trace) >= 2 and trace[-2][1] < e:
             raise InternalInvariantViolation("tidying index increased")
         if e == target:
+            lat = cur if k == 0 else dual_image(a ** k, cur)
             return ScaleReport(target, lat, tuple(trace), True)
-        lat = lattice_intersect(apply(a, lat), lat)
+        cur = grown
     raise CapExceeded(
         f"tidying did not certify the scale within {cap} steps", tuple(trace))
 

@@ -284,6 +284,30 @@ def test_tidy_past_its_cap_exits_inconclusive(tmp_path, capsys):
     assert main(["tidy", str(path), "--cap", "1"]) == EXIT_OK
 
 
+def test_tidy_past_its_cap_prints_its_trace_under_json(tmp_path, capsys):
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(
+        {"p": 3, "n": 2, "entries": [["82/27", "1"], ["-73/729", "8/27"]]}))
+    assert main(["tidy", str(path), "--cap", "0", "--json"]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert "inconclusive" in captured.err
+    assert json.loads(captured.out) == {
+        "inconclusive": "tidying did not certify the scale within 0 steps", "trace": [[0, 6]]}
+
+
+def test_an_inconclusive_run_without_a_trace_prints_null_under_json(tmp_path, capsys):
+    # the centralizer of the identity is all of M_3(F_5): 5^9 > 10^6 seeds
+    path = tmp_path / "id3.json"
+    identity = [[str(int(i == j)) for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"p": 5, "n": 3, "entries": identity}))
+    assert main(["root", "--kind", "finite", "-k", "2", "--level", "2", str(path),
+                 "--json"]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["trace"] is None and "seed cap" in payload["inconclusive"]
+    assert "inconclusive" in captured.err
+
+
 def test_typer_and_flag_report_a_witness_word(tmp_path, capsys):
     path = tmp_path / "expanding.json"
     path.write_text(json.dumps(

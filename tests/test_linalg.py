@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ppm.linalg
 from ppm.errors import NotNested, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, \
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, dual_image, elementary_divisors, \
     elementary_divisors_with_directions, lattice_index, lattice_intersect, lattice_sum, \
     newton_polygon
 from ppm.qpcore import PContext, vp
@@ -388,6 +388,19 @@ def test_law_apply_respects_composition(data):
     assert apply(QMatrix.identity(n), lat) == lat
 
 
+@LAWS
+@given(st.data())
+def test_law_dual_image_is_the_image_of_the_dual(data):
+    """dual_image(a, L) = a(L*), and the transpose read off the integer
+    view is the transpose of the entries."""
+    ctx, n, (lat,) = data.draw(lattices(1))
+    a = _invertible(data.draw, ctx.p, n)
+    assert dual_image(a, lat) == apply(a, lat.dual())
+    assert a.transpose() == QMatrix(list(zip(*a.rows)))
+    with pytest.raises(Singular):
+        dual_image(QMatrix([[0] * n for _ in range(n)]), lat)
+
+
 # -- the Fraction references the integer core must reproduce -------------------
 
 def _reference_rep(x, e, p):
@@ -507,6 +520,27 @@ def test_a_tidying_step_inverts_nothing(monkeypatch):
     a = QMatrix([[3, 1], [0, F(1, 3)]])
     report = scale_tidy(a, CTX3)
     assert report.iteration_trace == ((0, 1),)
+    assert calls == []
+
+
+def test_a_tidying_run_of_several_steps_inverts_nothing(monkeypatch):
+    """A whole scale_tidy run that goes on past its first step, and builds
+    its lattice from a dual, still calls no QMatrix.inverse and no
+    Lattice.dual."""
+    c = QMatrix([[1, 0], [F(1, 27), 1]])
+    a = c.inverse() * QMatrix([[3, 1], [0, F(1, 3)]]) * c
+    calls = []
+
+    def counting(name, original):
+        def wrapper(self):
+            calls.append(name)
+            return original(self)
+        return wrapper
+
+    monkeypatch.setattr(QMatrix, "inverse", counting("inverse", QMatrix.inverse))
+    monkeypatch.setattr(Lattice, "dual", counting("dual", Lattice.dual))
+    report = scale_tidy(a, CTX3)
+    assert report.iteration_trace == ((0, 6), (1, 1))
     assert calls == []
 
 

@@ -203,25 +203,21 @@ def test_the_scale_builds_no_newton_polygon(monkeypatch):
         assert scale_tidy(a, CTX3).scale_exponent == m
 
 
-def test_one_intersection_per_tidy_step(monkeypatch):
-    calls = []
+def test_a_tidying_run_intersects_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice_intersect called")
 
-    def counting(l1, l2):
-        calls.append((l1, l2))
-        return lattice_intersect(l1, l2)
-
-    monkeypatch.setattr(ppm.scale, "lattice_intersect", counting)
-    for a in (QMatrix([[1, F(1, 3)], [0, 1]]), QMatrix([[1, F(1, 27)], [0, 1]]),
-              QMatrix([[3, F(1, 9)], [0, 1]]), QMatrix.diagonal([F(1, 9), 1, 3])):
-        calls.clear()
+    monkeypatch.setattr(ppm.linalg, "lattice_intersect", refuse)
+    monkeypatch.setattr(ppm.scale, "lattice_intersect", refuse, raising=False)
+    for a, m in ((QMatrix([[1, F(1, 3)], [0, 1]]), 0), (QMatrix([[1, F(1, 27)], [0, 1]]), 0),
+                 (QMatrix([[3, F(1, 9)], [0, 1]]), 0), (QMatrix.diagonal([F(1, 9), 1, 3]), 2)):
         report = scale_tidy(a, CTX3)
-        # one per step that continues; the final step reads its index off a sum
-        assert len(calls) == len(report.iteration_trace) - 1
+        assert report.scale_exponent == m and len(report.iteration_trace) == (1 if m else 2)
 
 
 def test_hermite_forms_per_tidy_call(monkeypatch):
-    # a continuing step: the sum, the image, and the intersection's two
-    # duals; the final step: the sum alone
+    # one per step, the sum E + a^T(E); then one for the returned lattice
+    # a^k(E*), unless it is the standard lattice
     calls = []
     hermite = ppm.linalg._hermite
 
@@ -230,13 +226,13 @@ def test_hermite_forms_per_tidy_call(monkeypatch):
         return hermite(p, span)
 
     monkeypatch.setattr(ppm.linalg, "_hermite", counting)
-    for a, expected in ((QMatrix([[1, F(1, 3)], [0, 1]]), 5),
-                        (QMatrix([[1, F(1, 27)], [0, 1]]), 5),
-                        (QMatrix([[3, F(1, 9)], [0, 1]]), 5),
+    for a, expected in ((QMatrix([[1, F(1, 3)], [0, 1]]), 3),
+                        (QMatrix([[1, F(1, 27)], [0, 1]]), 3),
+                        (QMatrix([[3, F(1, 9)], [0, 1]]), 3),
                         (QMatrix.diagonal([F(1, 9), 1, 3]), 1)):
         calls.clear()
         steps = len(scale_tidy(a, CTX3).iteration_trace)
-        assert len(calls) == 4 * (steps - 1) + 1 == expected
+        assert len(calls) == steps + (1 if steps > 1 else 0) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,3 +259,74 @@ def test_a_tidying_cap_raises_with_the_trace_so_far():
     with pytest.raises(CapExceeded) as exc:
         scale_tidy(a, CTX3, cap=0)
     assert exc.value.trace == ((0, 6),)
+
+
+def _reference_tidy(a, ctx, cap=None):
+    """The intersection chain L_{k+1} = L_k ^ a(L_k) from Z_p^n, each index
+    read off the intersection itself: the iteration scale_tidy reproduces."""
+    vals = [vp_frac(c, ctx.p) for c in char_poly(a)]
+    target = -min(vals)
+    cap = default_iteration_cap(vals, a.n) if cap is None else cap
+    lat, trace = Lattice.standard(ctx, a.n), []
+    for k in range(cap + 1):
+        image = apply(a, lat)
+        meet = lattice_intersect(image, lat)
+        trace.append((k, lattice_index(image, meet)))
+        if trace[-1][1] == target:
+            return target, lat, tuple(trace)
+        lat = meet
+    raise CapExceeded("reference cap", tuple(trace))
+
+
+@st.composite
+def steep_conjugate(draw):
+    """a = c^-1 diag(u_i p^e_i) c, c a product of elementary matrices whose
+    off-diagonal entries have p-power denominators, so the standard lattice
+    can lie several tidying steps from a tidy one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 6))
+    units = [u for u in (1, -1, 2, -2, 3, 4, 7) if u % p]
+    diag = QMatrix.diagonal([F(draw(st.sampled_from(units))) * F(p) ** draw(st.integers(-3, 3))
+                             for _ in range(n)])
+    c = QMatrix.identity(n)
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = [[F(int(r == s)) for s in range(n)] for r in range(n)]
+        rows[i][j] = F(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 3)))
+        c = c * QMatrix(rows)
+    return c.inverse() * diag * c, PContext(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steep_conjugate())
+def test_law_tidying_matches_the_intersection_chain(case):
+    """scale_tidy's report, or its CapExceeded trace, is the intersection
+    chain's at every cap; the returned lattice's index, measured directly,
+    is the scale."""
+    a, ctx = case
+    for cap in (None, 0, 1):
+        try:
+            want = _reference_tidy(a, ctx, cap)
+        except CapExceeded as exc:
+            with pytest.raises(CapExceeded) as got:
+                scale_tidy(a, ctx, cap)
+            assert got.value.trace == exc.trace
+            continue
+        report = scale_tidy(a, ctx, cap)
+        assert (report.scale_exponent, report.minimizing_lattice, report.iteration_trace) == want
+        assert report.method_agreement
+        img = apply(a, report.minimizing_lattice)
+        assert lattice_index(img, lattice_intersect(img, report.minimizing_lattice)) \
+            == report.scale_exponent
+
+
+@settings(max_examples=40, deadline=None)
+@given(steep_conjugate())
+def test_law_a_lattice_tidy_for_a_is_tidy_for_its_inverse(case):
+    """Willis: U tidy for a is tidy for a^-1, so its index under a^-1 is
+    the scale of a^-1."""
+    a, ctx = case
+    lat = scale_tidy(a, ctx).minimizing_lattice
+    inv = a.inverse()
+    img = apply(inv, lat)
+    assert lattice_index(img, lattice_intersect(img, lat)) == scale_newton(inv, ctx)
