@@ -7,10 +7,10 @@ decomposition splitting the space so that every quotient action is
 bounded. Saturation runs in one loop, ``bounded_group``; the flag climbs
 the tower of common fixed subspaces by linear algebra alone and runs
 that loop on the last quotient, where a verdict other than BOUNDED ends
-the flag search inconclusive. The flag checks only the generators
-before saturating; the sampler is its fallback, run over all short
-words only when 2n rounds of saturation have not stopped. Flag
-certificates are re-verified before they are returned.
+the flag search inconclusive. That saturation decides each generator
+once; the sampler is its fallback, run over all short words only when
+2n rounds of saturation have not stopped. Flag certificates are
+re-verified before they are returned.
 Every UNBOUNDED verdict is certified by the scale criterion: a generator
 is not type R. When every generator is type R, the verdict is BOUNDED or
 INCONCLUSIVE (the round cap ran out), never UNBOUNDED; one such
@@ -63,7 +63,7 @@ class GeneratorSet:
     @classmethod
     def of(cls, ctx: PContext, matrices) -> "GeneratorSet":
         matrices = tuple(matrices)
-        return cls(ctx, matrices[0].n, matrices)
+        return cls(ctx, matrices[0].n if matrices else 0, matrices)
 
     def with_inverses(self):
         return [h for pair in zip(self.gens, self.inverses) for h in pair]
@@ -79,6 +79,15 @@ def type_r_matrix(a: QMatrix, ctx: PContext) -> bool:
         raise Singular("type R is only defined for invertible matrices")
     p = ctx.p
     return poly[-1].numerator % p != 0 and all(c.denominator % p != 0 for c in poly)
+
+
+def _type_r_view(n: int, ints: tuple, v: int, ctx: PContext) -> bool:
+    """type_r_matrix of the n x n matrix with integer view ints and v_p(det) = v:
+    a nonzero v makes +-det, the constant term, a non-unit, and a p-integral
+    matrix with v = 0 is type R; only the rest need the char poly."""
+    if v:
+        return False
+    return ints[0] % ctx.p != 0 or type_r_matrix(QMatrix._from_view(n, ints), ctx)
 
 
 @dataclass(frozen=True)
@@ -99,10 +108,8 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     """Check all reduced words up to word_len; return the first failure
     in breadth-first order, or None when every sampled word is type R.
 
-    Words are multiplied and deduplicated on integer views (QMatrix._ints).
-    v_p(det), the sum of the letters' valuations, decides most: a nonzero sum
-    makes the constant term +-det a non-unit (a witness), and a p-integral
-    word of sum 0 is type R. Only the rest go to type_r_matrix.
+    Words are multiplied and deduplicated on integer views (QMatrix._ints) and
+    decided by _type_r_view, v_p(det) being the sum of the letters' valuations.
 
     This samples a necessary condition: words beyond the bound are not
     inspected, so None never certifies that the whole group is type R.
@@ -132,7 +139,7 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
                     continue
                 seen.add(key)
                 w2, v2 = word + ((i, sign),), val + v
-                if v2 or key[0] % p == 0 and not type_r_matrix(QMatrix._from_view(n, key), ctx):
+                if not _type_r_view(n, key, v2, ctx):
                     return Witness(w2, QMatrix._from_view(n, key))
                 nxt.append((key, w2, v2))
         frontier = nxt
@@ -170,9 +177,11 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
     standard lattice by the generators and their inverses, one Hermite
     form per round, until it stops (BOUNDED, with the fixpoint as
     certificate) or rounds_cap rounds have run (INCONCLUSIVE)."""
+    if rounds_cap < 0:
+        raise ValueError("rounds_cap must be non-negative")
     ctx = group.ctx
     for i, g in enumerate(group.gens):
-        if not type_r_matrix(g, ctx):
+        if not _type_r_view(g.n, g._ints, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
     start = Lattice.standard(ctx, group.n)
     gens_and_invs = group.with_inverses()
@@ -279,8 +288,8 @@ def ku_flag(group: GeneratorSet,
     """Finest certified flag with bounded quotient actions, climbing the
     tower of common fixed subspaces.
 
-    Raises NotTypeR when the word sampler finds a counterexample (the
-    decomposition cannot exist then). Each step splits off, by linear
+    Raises NotTypeR when a word of length at most word_len is not type R
+    (the decomposition cannot exist then). Each step splits off, by linear
     algebra alone, the space the current quotient fixes pointwise, where
     the action is the identity and fixes the standard lattice; the steps
     exhibit the largest unipotent sleeve the generators share, and an
@@ -296,17 +305,17 @@ def ku_flag(group: GeneratorSet,
     decomposition has passed the exact certificate checks.
 
     The sampler runs last, yet the answer is that of searching all words
-    up to word_len first. The letters are checked first, so a witness of
-    length 1 is the one the search returns first. Each climbing step is
-    block triangular with an identity block, so once the letters pass,
-    every quotient generator is type R and the saturation cannot end
-    UNBOUNDED. If it stops within 2n rounds, the lemma above makes the
-    group bounded, so every word is type R; only otherwise does the whole
-    search run, followed by the saturation with the default cap.
+    up to word_len first. Each climbing step is block triangular with an
+    identity block, so det g = det g' and char g = (x - 1)^d char g' for a
+    generator g and its image g' on the last quotient: the saturation ends
+    UNBOUNDED at the first letter that is not type R, the search's first
+    witness, since a letter and its inverse are type R together. If it
+    stops within 2n rounds, the lemma above makes the group bounded, so
+    every word is type R; only otherwise does the whole search run,
+    followed by the saturation with the default cap.
     """
-    witness = type_r_witness_search(group, min(word_len, 1))  # the letters
-    if witness is not None:
-        raise NotTypeR(witness)
+    if word_len < 0:
+        raise ValueError("word_len must be non-negative")
     ctx, n = group.ctx, group.n
     t = QMatrix.identity(n)
     dims, lattices = [], []
@@ -325,6 +334,9 @@ def ku_flag(group: GeneratorSet,
         lattices.append(Lattice.standard(ctx, d))
     # at most the default cap, so this never stops where the fallback could not
     res = bounded_group(rest, min(2 * rest.n, _DEFAULT_ROUNDS))
+    if res.verdict == UNBOUNDED and word_len:  # word_len = 0 searches nothing
+        i = res.witness.word[0][0]
+        raise NotTypeR(Witness(((i, 1),), group.gens[i]))
     if res.verdict == INCONCLUSIVE:
         witness = type_r_witness_search(group, word_len)
         if witness is not None:

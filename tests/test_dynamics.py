@@ -8,10 +8,10 @@ import ppm.dynamics
 import ppm.linalg
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
 from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness, \
-    _complete_basis, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
+    _complete_basis, _type_r_view, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
     type_r_witness_search
 from ppm.errors import NotTypeR, Singular
-from ppm.linalg import Lattice, QMatrix, apply, rref
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, rref
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton
 
@@ -274,8 +274,8 @@ def _record_saturations_and_searches(monkeypatch):
 
 
 def test_a_bounded_flag_checks_only_the_letters(eight_cycle, steep_symmetric, monkeypatch):
-    # the saturation stops within 2n rounds, so the search past the letters,
-    # which a bounded group cannot fail, never runs
+    # the saturation decides the letters and stops within 2n rounds, so the
+    # word search, which a bounded group cannot fail, never runs
     heis = [QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
             QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])]
     saturations, depths = _record_saturations_and_searches(monkeypatch)
@@ -287,7 +287,7 @@ def test_a_bounded_flag_checks_only_the_letters(eight_cycle, steep_symmetric, mo
         assert flag.dims == dims
         last = dims[-1] - dims[-2]
         assert saturations == [(last, 2 * last)]
-        assert depths == [1]
+        assert depths == []
 
 
 def test_an_unresolved_saturation_falls_back_to_the_word_search(monkeypatch):
@@ -298,7 +298,7 @@ def test_an_unresolved_saturation_falls_back_to_the_word_search(monkeypatch):
         ku_flag(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]))
     assert info.value.witness.word_str() == "g1·g2"
     assert saturations == [(2, 4)]
-    assert depths == [1, 4]
+    assert depths == [4]
 
 
 def test_witness_search_rejects_a_negative_word_length():
@@ -308,6 +308,33 @@ def test_witness_search_rejects_a_negative_word_length():
     with pytest.raises(ValueError, match="word_len"):
         ku_flag(group, word_len=-2)
     assert type_r_witness_search(group, 0) is None
+
+
+def test_an_empty_generator_list_is_rejected():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        GeneratorSet.of(CTX3, [])
+
+
+def test_saturation_rejects_a_negative_round_cap():
+    with pytest.raises(ValueError, match="rounds_cap"):
+        bounded_group(GeneratorSet.of(CTX3, [U1]), rounds_cap=-1)
+    assert bounded_group(GeneratorSet.of(CTX3, [U1]), rounds_cap=0).caps == {"rounds": 0}
+
+
+def test_a_non_unit_determinant_decides_a_generator_without_a_char_poly(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return char_poly(a)
+
+    monkeypatch.setattr(ppm.dynamics, "char_poly", counting)
+    steep = QMatrix([[0, 1], [F(1, 3), 1]])  # det -1/3, not p-integral
+    group = GeneratorSet.of(CTX3, [U1, steep])
+    res = bounded_group(group)
+    assert res.verdict == UNBOUNDED and res.rounds == 0
+    assert res.witness == type_r_witness_search(group, 1) == Witness(((1, 1),), steep)
+    assert calls == []
 
 
 def test_common_fixed_space():
@@ -480,6 +507,29 @@ def test_an_integral_matrix_is_type_r_iff_its_determinant_is_a_unit(p, n, data):
                                    min_size=n, max_size=n)))
     assume(a.det() != 0)
     assert type_r_matrix(a, PContext(p)) == (vp(a.det(), PContext(p)) == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 4), integral=st.booleans(),
+       data=st.data())
+def test_law_the_determinant_first_rule_is_type_r_matrix(p, n, integral, data):
+    # p-integral matrices, or such a matrix times diag(p^e) with sum(e) = 0,
+    # which puts p in a denominator, keeps v_p(det) and seldom keeps type R;
+    # half of them are conjugated by diag(p^e), which keeps type R but not
+    # integrality
+    entries = st.builds(F, st.integers(-2 * p, 2 * p),
+                        st.sampled_from([d for d in (1, 2, 3, 5, 7) if d % p]))
+    a = QMatrix(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)))
+    if not integral:
+        exps = data.draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+        a = a * QMatrix.diagonal([F(p) ** e for e in [*exps, -sum(exps)]])
+    if data.draw(st.booleans()):
+        c = QMatrix.diagonal([F(p) ** data.draw(st.integers(-1, 1)) for _ in range(n)])
+        a = c.inverse() * a * c
+    assume(a.det() != 0)
+    ctx = PContext(p)
+    assert _type_r_view(n, a._ints, vp(a.det(), ctx), ctx) == type_r_matrix(a, ctx)
 
 
 # -- ku_flag answers as if it searched all words first -----------------------

@@ -114,7 +114,7 @@ def test_invariant_lattice_is_exactly_invariant():
     assert found >= 3  # unit-eigenvalue matrices do occur in the sample
 
 
-def test_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
+def test_at_most_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
     calls = []
 
     def counting(a):
@@ -124,11 +124,13 @@ def test_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
     # patch every namespace that could hold the char poly
     monkeypatch.setattr(ppm.scale, "char_poly", counting)
     monkeypatch.setattr(ppm.dynamics, "char_poly", counting)
-    for a in (QMatrix.diagonal([F(1, 3), 1]), QMatrix([[1, F(1, 3)], [0, 1]])):
+    steep = QMatrix.diagonal([F(1, 3), 1])
+    for a in (steep, QMatrix([[1, F(1, 3)], [0, 1]])):
         for query in (scale_tidy, invariant_lattice):
             calls.clear()
             query(a, CTX3)
-            assert calls == [a]
+            # v_3(det) = -1 decides that steep has no invariant lattice
+            assert calls == ([] if query is invariant_lattice and a is steep else [a])
 
 
 small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(3), F(1, 3), F(-2, 9), F(5, 2)])
