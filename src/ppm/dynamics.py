@@ -5,12 +5,12 @@ only, flagged as such), a boundedness decision by lattice saturation
 with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
 bounded. Saturation runs in one loop, ``bounded_group``; the flag climbs
-the tower of common fixed subspaces by linear algebra alone and runs
-that loop on the last quotient, where a verdict other than BOUNDED ends
-the flag search inconclusive. That saturation decides each generator
-once; the sampler is its fallback, run over all short words only when
-2n rounds of saturation have not stopped. Flag certificates are
-re-verified before they are returned.
+the tower of common fixed subspaces by linear algebra alone, carrying
+one basis, and runs that loop on the last quotient, where a verdict
+other than BOUNDED ends the flag search inconclusive. That saturation
+decides each generator once; the sampler is its fallback, run over all
+short words only when 2n rounds of saturation have not stopped. Flag
+certificates are re-verified before they are returned.
 Every UNBOUNDED verdict is certified by the scale criterion: a generator
 is not type R. When every generator is type R, the verdict is BOUNDED or
 INCONCLUSIVE (the round cap ran out), never UNBOUNDED; one such
@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, _lowest_terms, apply, char_poly, elementary_divisors, \
-    grow, rref
+from .linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, grow, rref
 from .qpcore import PContext, vp_frac
 
 _DEFAULT_WORD_LEN = 4
@@ -81,13 +79,13 @@ def type_r_matrix(a: QMatrix, ctx: PContext) -> bool:
     return poly[-1].numerator % p != 0 and all(c.denominator % p != 0 for c in poly)
 
 
-def _type_r_view(n: int, ints: tuple, v: int, ctx: PContext) -> bool:
-    """type_r_matrix of the n x n matrix with integer view ints and v_p(det) = v:
-    a nonzero v makes +-det, the constant term, a non-unit, and a p-integral
-    matrix with v = 0 is type R; only the rest need the char poly."""
+def _type_r_view(a: QMatrix, v: int, ctx: PContext) -> bool:
+    """type_r_matrix(a, ctx) for a with v_p(det a) = v: a nonzero v makes
+    +-det, the constant term, a non-unit, and a p-integral matrix with
+    v = 0 is type R; only the rest need the char poly."""
     if v:
         return False
-    return ints[0] % ctx.p != 0 or type_r_matrix(QMatrix._from_view(n, ints), ctx)
+    return a.denominator % ctx.p != 0 or type_r_matrix(a, ctx)
 
 
 @dataclass(frozen=True)
@@ -108,40 +106,35 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     """Check all reduced words up to word_len; return the first failure
     in breadth-first order, or None when every sampled word is type R.
 
-    Words are multiplied and deduplicated on integer views (QMatrix._ints) and
-    decided by _type_r_view, v_p(det) being the sum of the letters' valuations.
+    Words are QMatrix products, deduplicated on their values, and decided
+    by _type_r_view, v_p(det) being the sum of the letters' valuations.
 
     This samples a necessary condition: words beyond the bound are not
     inspected, so None never certifies that the whole group is type R.
     """
     if word_len < 0:
         raise ValueError("word_len must be non-negative")
-    ctx, n, p = group.ctx, group.n, group.ctx.p
-    letters = []  # (letter, d, columns of N, v_p(det)) for g = N / d and g^-1
-    for i, pair in enumerate(zip(group.gens, group.inverses)):
-        v = vp_frac(group.dets[i], p)
-        for sign, h in zip((1, -1), pair):
-            d, rows = h._int_view()
-            letters.append(((i, sign), d, tuple(zip(*rows)), sign * v))
-    one = QMatrix.identity(n)._ints
+    ctx = group.ctx
+    letters = [((i, sign), h, sign * vp_frac(group.dets[i], ctx.p))  # h = g_i^sign, v_p(det h)
+               for i, pair in enumerate(zip(group.gens, group.inverses))
+               for sign, h in zip((1, -1), pair)]
+    one = QMatrix.identity(group.n)
     seen = {one}
     frontier = [(one, (), 0)]
     for _ in range(word_len):
         nxt = []
-        for ints, word, val in frontier:
-            da, rows = ints[0], [ints[1 + k * n:1 + (k + 1) * n] for k in range(n)]
-            for (i, sign), db, cols, v in letters:
+        for mat, word, val in frontier:
+            for (i, sign), h, v in letters:
                 if word and word[-1] == (i, -sign):
                     continue  # immediate cancellation
-                key = _lowest_terms(da * db, [[sum(map(mul, row, col)) for col in cols]
-                                              for row in rows])
-                if key in seen:
+                m2 = mat * h
+                if m2 in seen:
                     continue
-                seen.add(key)
+                seen.add(m2)
                 w2, v2 = word + ((i, sign),), val + v
-                if not _type_r_view(n, key, v2, ctx):
-                    return Witness(w2, QMatrix._from_view(n, key))
-                nxt.append((key, w2, v2))
+                if not _type_r_view(m2, v2, ctx):
+                    return Witness(w2, m2)
+                nxt.append((m2, w2, v2))
         frontier = nxt
     return None
 
@@ -181,7 +174,7 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
         raise ValueError("rounds_cap must be non-negative")
     ctx = group.ctx
     for i, g in enumerate(group.gens):
-        if not _type_r_view(g.n, g._ints, vp_frac(group.dets[i], ctx.p), ctx):
+        if not _type_r_view(g, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
     start = Lattice.standard(ctx, group.n)
     gens_and_invs = group.with_inverses()
@@ -228,7 +221,7 @@ class FlagDecomposition:
 
 
 def _verify_flag(group: GeneratorSet, flag: FlagDecomposition):
-    basis = flag.flag_basis  # invertible: ku_flag inverted it to conjugate
+    basis = flag.flag_basis  # invertible: a product of the steps ku_flag inverted
     for g, conj in zip(group.gens, flag.conjugated_gens):
         if g * basis != basis * conj:
             raise InternalInvariantViolation("conjugated generator mismatch")
@@ -272,17 +265,6 @@ def _complete_basis(cols, n):
     return QMatrix.from_columns([list(c) for c in cols] + added)
 
 
-def _split_action(group: GeneratorSet, cols):
-    """Change basis to [cols | completion] for an invariant span of cols;
-    return (T, the action on the quotient by that span)."""
-    n, d = group.n, len(cols)
-    t = _complete_basis(cols, n)
-    t_inv = t.inverse()
-    quotient = tuple(QMatrix([row[d:] for row in (t_inv * g * t).rows[d:]])
-                     for g in group.gens)
-    return t, GeneratorSet(group.ctx, n - d, quotient)
-
-
 def ku_flag(group: GeneratorSet,
             word_len: int = _DEFAULT_WORD_LEN) -> Optional[FlagDecomposition]:
     """Finest certified flag with bounded quotient actions, climbing the
@@ -293,7 +275,10 @@ def ku_flag(group: GeneratorSet,
     algebra alone, the space the current quotient fixes pointwise, where
     the action is the identity and fixes the standard lattice; the steps
     exhibit the largest unipotent sleeve the generators share, and an
-    irreducible bounded action stays one block.
+    irreducible bounded action stays one block. The climb carries the
+    basis t and the conjugates t^-1 g t: a step embeds its basis
+    completion as D = diag(1, completion), inverts D once, sets t <- t D,
+    conj <- D^-1 conj D, and reads the next quotient off conj's last block.
 
     Only the last quotient is saturated. Its invariant lattice is the last
     block's; None (inconclusive) is returned when it does not end
@@ -317,7 +302,7 @@ def ku_flag(group: GeneratorSet,
     if word_len < 0:
         raise ValueError("word_len must be non-negative")
     ctx, n = group.ctx, group.n
-    t = QMatrix.identity(n)
+    t, conj = QMatrix.identity(n), group.gens  # conj[k] = t^-1 gens[k] t
     dims, lattices = [], []
     rest = group  # the action on the trailing quotient V / V_i
     while True:
@@ -325,11 +310,13 @@ def ku_flag(group: GeneratorSet,
         if not 0 < len(fixed) < rest.n:  # a fixed space is always invariant
             break
         cut, d = n - rest.n, len(fixed)
-        step, rest = _split_action(rest, fixed)
-        block = [list(row) for row in QMatrix.identity(n).rows]
-        for i, row in enumerate(step.rows):  # diag(1_cut, step)
-            block[cut + i][cut:] = row
-        t = t * QMatrix(block)
+        completion = _complete_basis(fixed, rest.n)  # embedded as diag(1_cut, completion)
+        step = QMatrix([[int(i == j) for j in range(n)] for i in range(cut)]
+                       + [[0] * cut + list(row) for row in completion.rows])
+        step_inv = step.inverse()
+        t, conj = t * step, tuple(step_inv * c * step for c in conj)
+        rest = GeneratorSet(ctx, rest.n - d, tuple(
+            QMatrix([row[cut + d:] for row in c.rows[cut + d:]]) for c in conj))
         dims.append(d)
         lattices.append(Lattice.standard(ctx, d))
     # at most the default cap, so this never stops where the fallback could not
@@ -346,9 +333,6 @@ def ku_flag(group: GeneratorSet,
         return None
     dims.append(rest.n)
     lattices.append(res.invariant)
-    cumulative = (0, *accumulate(dims))
-    t_inv = t.inverse()
-    conj = tuple(t_inv * g * t for g in group.gens)
-    flag = FlagDecomposition(t, cumulative, tuple(lattices), conj)
+    flag = FlagDecomposition(t, (0, *accumulate(dims)), tuple(lattices), conj)
     _verify_flag(group, flag)
     return flag

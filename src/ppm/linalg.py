@@ -155,6 +155,11 @@ class QMatrix:
                                                     for row in m))
             return self._rows
 
+    @property
+    def denominator(self) -> int:
+        """The least common denominator d > 0 of the entries."""
+        return self._ints[0]
+
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls._from_ints(1, [[int(i == j) for j in range(n)] for i in range(n)])

@@ -20,6 +20,12 @@ from .errors import InternalInvariantViolation, Singular
 Mat = tuple
 
 
+def require_ints(*mats):
+    """ValueError unless every entry is an int: reduce_mat truncates the rest."""
+    if any(type(x) is not int for m in mats for row in m for x in row):
+        raise ValueError("matrix entries must be integers")
+
+
 def reduce_mat(rows, mod: int) -> Mat:
     return tuple(tuple(int(x) % mod for x in row) for row in rows)
 

@@ -16,7 +16,7 @@ from operator import mul
 from . import modmat
 from .errors import CapExceeded
 from .qpcore import PContext
-from .steinitz import Supernatural, _factor, coprime, general_linear_order
+from .steinitz import Supernatural, coprime, general_linear_order
 
 
 def _code(mat, mod: int) -> int:
@@ -97,7 +97,7 @@ class FiniteGroupTable:
     def __init__(self, ctx: PContext, level: int, n: int, elements, generators):
         mod = ctx.p ** level
         if any(len(m) != n or any(len(row) != n or not all(
-                isinstance(x, int) and 0 <= x < mod for x in row) for row in m)
+                type(x) is int and 0 <= x < mod for x in row) for row in m)
                for m in (*elements, *generators)):
             raise ValueError(f"elements and generators must be {n} x {n} over [0, {mod})")
         self.ctx, self.level, self.n, self.generators = ctx, level, n, generators
@@ -116,6 +116,7 @@ class FiniteGroupTable:
         return len(self._keys)
 
     def __contains__(self, mat) -> bool:
+        modmat.require_ints(mat)
         mod = self.ctx.p ** self.level
         return _key(modmat.reduce_mat(mat, mod), mod) in self._index
 
@@ -190,6 +191,7 @@ def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> Fi
     p, mod, n = ctx.p, ctx.p ** level, len(gens[0])
     if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
         raise ValueError("every generator must be n x n")
+    modmat.require_ints(*gens)
     gens = tuple(modmat.reduce_mat(g, mod) for g in gens)
     if not all(modmat.invertible_mod(g, p) for g in gens):
         raise ValueError("generator is singular mod p")
@@ -270,8 +272,9 @@ def full_gl_generators(n: int, p: int, m: int = 1):
 def _primitive_root(p: int) -> int:
     if p == 2:
         return 1
+    primes = Supernatural.from_int(p - 1).primes()
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _factor(p - 1)):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
             return g
     raise AssertionError("no primitive root found")
 

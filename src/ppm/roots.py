@@ -36,6 +36,7 @@ class PadicApproxMatrix:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
+        modmat.require_ints(self.entries)
         mod = self.ctx.p ** self.level
         ent = modmat.reduce_mat(self.entries, mod)
         object.__setattr__(self, "entries", ent)

@@ -529,7 +529,7 @@ def test_law_the_determinant_first_rule_is_type_r_matrix(p, n, integral, data):
         a = c.inverse() * a * c
     assume(a.det() != 0)
     ctx = PContext(p)
-    assert _type_r_view(n, a._ints, vp(a.det(), ctx), ctx) == type_r_matrix(a, ctx)
+    assert _type_r_view(a, vp(a.det(), ctx), ctx) == type_r_matrix(a, ctx)
 
 
 # -- ku_flag answers as if it searched all words first -----------------------
@@ -616,3 +616,27 @@ def test_ku_flag_answers_as_if_it_searched_first_on_the_fallback_paths(gens, wor
     group = GeneratorSet.of(CTX3, gens)
     assert _flag_outcome(ku_flag, group, word_len) \
         == _flag_outcome(searching_first, group, word_len)
+
+
+@pytest.mark.parametrize("gens, dims", [
+    ([ROT], (0, 2)),
+    ("eight_cycle", (0, 1, 8)),
+    ([QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+      QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])], (0, 1, 2, 3)),
+], ids=["rotation", "eight-cycle", "heisenberg-pair"])
+def test_ku_flag_inverts_once_per_climbing_step(gens, dims, request, monkeypatch):
+    # one inverse per step carries the basis and the conjugates; the last
+    # quotient's saturation inverts each of its generators once
+    gens = [request.getfixturevalue(gens)] if isinstance(gens, str) else gens
+    group = GeneratorSet.of(CTX3, gens)
+    calls = []
+    inverse = QMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(QMatrix, "inverse", counting)
+    flag = ku_flag(group)
+    assert flag.dims == dims
+    assert len(calls) == (len(dims) - 2) + len(gens)

@@ -1,0 +1,29 @@
+"""Only ``linalg`` knows how a QMatrix or a Lattice is stored, and no module
+imports another module's private (underscore) names."""
+import ast
+from pathlib import Path
+
+import ppm
+
+SRC = Path(ppm.__file__).parent
+STORAGE = {"_ints", "_int_view", "_from_view", "_from_ints", "_cols", "_exps", "_shift",
+           "_span", "_adjugate"}
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_module_imports_a_private_name():
+    found = [(module, alias.name) for module, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_only_linalg_reads_the_storage_of_matrices_and_lattices():
+    found = [(module, node.attr, node.lineno) for module, tree in _trees() if module != "linalg"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in STORAGE]
+    assert found == []

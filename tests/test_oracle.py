@@ -330,3 +330,16 @@ def test_a_malformed_hand_built_table_is_rejected():
     table = FiniteGroupTable(CTX3, 1, 1, (one, two), (two,))
     assert table.order == 2 and ((5,),) in table
     _verify_closure(table)
+
+
+def test_entries_that_are_not_integers_are_rejected():
+    # 5/2 = 1 mod 3 was truncated to 2, which generates a group of order 2
+    for entry in (F(5, 2), 2.0, True, F(2)):
+        with pytest.raises(ValueError, match="integer"):
+            enumerate_group([((entry,),)], CTX3, 1)
+    table = enumerate_group([((2,),)], CTX3, 1)
+    for entry in (F(5, 2), 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            ((entry,),) in table
+    with pytest.raises(ValueError):
+        FiniteGroupTable(CTX3, 1, 1, (((1,),), ((2,),)), (((True,),),))

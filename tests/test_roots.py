@@ -309,6 +309,15 @@ def test_a_non_positive_level_is_rejected():
                 solve(((4,),), 1, CTX3, level)
 
 
+def test_residue_entries_that_are_not_integers_are_rejected():
+    # 7/2 = 16 mod 25 was truncated to 3
+    for entry in (F(7, 2), 3.0, True, F(3)):
+        with pytest.raises(ValueError, match="integer"):
+            PadicApproxMatrix(CTX5, 2, ((entry,),))
+        with pytest.raises(ValueError, match="integer"):
+            congruence_root(((entry,),), 1, CTX5, 2)
+
+
 def test_axb_root_powers_in_logarithmic_time():
     # a k-step geometric sum never finished at this k
     k, p, level = 2 ** 61 - 1, 5, 10
