@@ -182,7 +182,7 @@ def analyze(spec: GroupSpec, k: int, spot_checks: int = 0,
 
 def _finitely_generated_verdict(spec, k):
     try:
-        flag = ku_flag(spec.gens)  # the type-R word search is its fallback
+        flag = ku_flag(spec.gens)  # its saturation runs the type-R word search
     except NotTypeR as exc:
         word = exc.witness.word_str()
         return _verdict(k, NOT_DENSE, [
@@ -190,17 +190,17 @@ def _finitely_generated_verdict(spec, k):
              f"word {word} has an eigenvalue of absolute value != 1, "
              "which dense power images forbid"),
         ], {"witness_word": word})
-    steps = [("sampler-necessary-only",
-              "all short words are type R; this is a necessary condition, not a proof")]
-    cert = {}
-    if flag is None:
-        steps.append(("flag-unresolved", "no certified flag within the caps"))
-    else:
-        steps.append(("flag-certified",
-                      f"flag dimensions {flag.dims}: the group sits inside "
-                      "compact-by-split-unipotent, consistent with dense powers"))
-        cert["flag_dims"] = list(flag.dims)
-    return _verdict(k, INCONCLUSIVE, steps, cert)
+    if flag is None:  # the saturation ran out, past a word search that found nothing
+        return _verdict(k, INCONCLUSIVE, [
+            ("sampler-necessary-only",
+             "all short words are type R; this is a necessary condition, not a proof"),
+            ("flag-unresolved", "no certified flag within the caps"),
+        ], {})
+    return _verdict(k, INCONCLUSIVE, [
+        ("flag-certified",
+         f"flag dimensions {flag.dims}: the group sits inside "
+         "compact-by-split-unipotent, consistent with dense powers"),
+    ], {"flag_dims": list(flag.dims)})
 
 
 def _spot_roots(spec, kind, k, count, rng):

@@ -72,7 +72,6 @@ def _parser() -> argparse.ArgumentParser:
     s = sub.add_parser("flag", parents=[common],
                        help="flag decomposition with bounded quotient actions")
     s.add_argument("gens", help="generator JSON file")
-    s.add_argument("--word-len", type=int, default=4)
 
     s = sub.add_parser("order", parents=[common], help="pro-order of a catalog compact group")
     s.add_argument("group", choices=list(CATALOG_ORDERS))
@@ -169,7 +168,7 @@ def _cmd_typer(args) -> int:
 def _cmd_flag(args) -> int:
     ctx, gens = _load_gens(args, args.gens)
     try:
-        flag = ku_flag(gens, word_len=args.word_len)
+        flag = ku_flag(gens)
     except NotTypeR as exc:
         _emit(args, {"flag": None, "witness": exc.witness.word_str()},
               f"no flag: witness {exc.witness.word_str()} is not type R")
@@ -306,7 +305,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error, already reported; --help exits 0
+            return EXIT_INPUT
+        raise
     try:
         return _COMMANDS[args.command](args)
     except InternalInvariantViolation as exc:

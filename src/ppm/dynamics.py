@@ -4,24 +4,23 @@ Three layers: a type-R sampler over short words (a necessary condition
 only, flagged as such), a boundedness decision by lattice saturation
 with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
-bounded. Saturation runs in one loop, ``bounded_group``; the flag climbs
-the tower of common fixed subspaces by linear algebra alone, carrying
-one basis, and runs that loop on the last quotient, where a verdict
-other than BOUNDED ends the flag search inconclusive. That saturation
-decides each generator once; the sampler is its fallback, run over all
-short words only when 2n rounds of saturation have not stopped. Flag
-certificates are re-verified before they are returned.
-Every UNBOUNDED verdict is certified by the scale criterion: a generator
-is not type R. When every generator is type R, the verdict is BOUNDED or
-INCONCLUSIVE (the round cap ran out), never UNBOUNDED; one such
-generator always has an invariant lattice, so only the cap stops it.
+bounded. The decision is one loop, ``bounded_group``: it checks each
+generator once, saturates, and runs the sampler once, when 2n rounds
+have not stopped. The flag climbs the tower of common fixed subspaces by
+linear algebra alone, carrying one basis, and runs that loop once, on
+the last quotient; flag certificates are re-verified before they are
+returned. Every UNBOUNDED verdict is certified by the scale criterion: a
+word in the generators is not type R, a generator at round 0 or a
+sampled word at round 2n. Otherwise the verdict is BOUNDED or
+INCONCLUSIVE (the round cap ran out).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
@@ -149,11 +148,11 @@ class BoundednessResult:
     """Verdict on whether the generated group has bounded orbits.
 
     BOUNDED carries a lattice fixed exactly by every generator (a real
-    certificate). UNBOUNDED carries a one-letter witness, a generator that
-    is not type R: its powers are unbounded, so no invariant lattice
-    exists. INCONCLUSIVE reports the caps that ran out. BOUNDED and
-    INCONCLUSIVE keep the elementary divisors of each grown lattice
-    against Z_p^n, round by round, as evidence.
+    certificate). UNBOUNDED carries a word that is not type R, so its
+    powers are unbounded and no invariant lattice exists: a generator at
+    round 0, or the sampler's word at round min(2n, cap). INCONCLUSIVE
+    reports the caps that ran out. Each verdict keeps the elementary
+    divisors of each grown lattice against Z_p^n, round by round.
     """
 
     verdict: str
@@ -169,7 +168,9 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
     (the scale criterion; complete for one generator). Otherwise grow the
     standard lattice by the generators and their inverses, one Hermite
     form per round, until it stops (BOUNDED, with the fixpoint as
-    certificate) or rounds_cap rounds have run (INCONCLUSIVE)."""
+    certificate) or rounds_cap rounds have run (INCONCLUSIVE). If it still
+    grows after round min(2n, rounds_cap), the word search runs once: a
+    witness ends the loop UNBOUNDED at that round."""
     if rounds_cap < 0:
         raise ValueError("rounds_cap must be non-negative")
     ctx = group.ctx
@@ -178,6 +179,7 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
     start = Lattice.standard(ctx, group.n)
     gens_and_invs = group.with_inverses()
+    search_round = min(2 * group.n, rounds_cap)
     lat = start
     trace = []
     for round_no in range(1, rounds_cap + 1):
@@ -190,6 +192,11 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
                                      rounds=round_no)
         trace.append(elementary_divisors(start, grown))
         lat = grown
+        if round_no == search_round:
+            witness = type_r_witness_search(group)
+            if witness is not None:
+                return BoundednessResult(UNBOUNDED, divisor_trace=tuple(trace),
+                                         rounds=round_no, witness=witness)
     return BoundednessResult(INCONCLUSIVE, divisor_trace=tuple(trace), rounds=rounds_cap,
                              caps={"rounds": rounds_cap})
 
@@ -265,12 +272,11 @@ def _complete_basis(cols, n):
     return QMatrix.from_columns([list(c) for c in cols] + added)
 
 
-def ku_flag(group: GeneratorSet,
-            word_len: int = _DEFAULT_WORD_LEN) -> Optional[FlagDecomposition]:
+def ku_flag(group: GeneratorSet) -> Optional[FlagDecomposition]:
     """Finest certified flag with bounded quotient actions, climbing the
     tower of common fixed subspaces.
 
-    Raises NotTypeR when a word of length at most word_len is not type R
+    Raises NotTypeR when bounded_group finds a word that is not type R
     (the decomposition cannot exist then). Each step splits off, by linear
     algebra alone, the space the current quotient fixes pointwise, where
     the action is the identity and fixes the standard lattice; the steps
@@ -280,27 +286,21 @@ def ku_flag(group: GeneratorSet,
     completion as D = diag(1, completion), inverts D once, sets t <- t D,
     conj <- D^-1 conj D, and reads the next quotient off conj's last block.
 
-    Only the last quotient is saturated. Its invariant lattice is the last
-    block's; None (inconclusive) is returned when it does not end
-    BOUNDED. Saturating the whole group first would add nothing: if a
-    finitely generated group preserves a flag whose diagonal blocks fix
-    lattices L_1, ..., L_m, then in the flag basis it fixes the lattice
-    sum_i p^(N i) L_i once N beats the p-adic denominators of the
-    generators' off-diagonal blocks, so the group is bounded. Any returned
-    decomposition has passed the exact certificate checks.
+    Only the last quotient is saturated, once. Its invariant lattice is
+    the last block's; INCONCLUSIVE there returns None. Saturating the
+    whole group first would add nothing: if a finitely generated group
+    preserves a flag whose diagonal blocks fix lattices L_1, ..., L_m,
+    then in the flag basis it fixes the lattice sum_i p^(N i) L_i once N
+    beats the p-adic denominators of the generators' off-diagonal blocks,
+    so the group is bounded. Any returned decomposition has passed the
+    exact certificate checks.
 
-    The sampler runs last, yet the answer is that of searching all words
-    up to word_len first. Each climbing step is block triangular with an
-    identity block, so det g = det g' and char g = (x - 1)^d char g' for a
-    generator g and its image g' on the last quotient: the saturation ends
-    UNBOUNDED at the first letter that is not type R, the search's first
-    witness, since a letter and its inverse are type R together. If it
-    stops within 2n rounds, the lemma above makes the group bounded, so
-    every word is type R; only otherwise does the whole search run,
-    followed by the saturation with the default cap.
+    The answer is that of searching the whole group's short words first:
+    each climbing step has an identity block, so char w = (x - 1)^d char w'
+    for a word w and its image w' on the last quotient, and the search
+    there finds the same first witness, which is raised as a product of
+    the original generators.
     """
-    if word_len < 0:
-        raise ValueError("word_len must be non-negative")
     ctx, n = group.ctx, group.n
     t, conj = QMatrix.identity(n), group.gens  # conj[k] = t^-1 gens[k] t
     dims, lattices = [], []
@@ -319,16 +319,11 @@ def ku_flag(group: GeneratorSet,
             QMatrix([row[cut + d:] for row in c.rows[cut + d:]]) for c in conj))
         dims.append(d)
         lattices.append(Lattice.standard(ctx, d))
-    # at most the default cap, so this never stops where the fallback could not
-    res = bounded_group(rest, min(2 * rest.n, _DEFAULT_ROUNDS))
-    if res.verdict == UNBOUNDED and word_len:  # word_len = 0 searches nothing
-        i = res.witness.word[0][0]
-        raise NotTypeR(Witness(((i, 1),), group.gens[i]))
-    if res.verdict == INCONCLUSIVE:
-        witness = type_r_witness_search(group, word_len)
-        if witness is not None:
-            raise NotTypeR(witness)
-        res = bounded_group(rest)
+    res = bounded_group(rest)
+    if res.verdict == UNBOUNDED:  # the same word is not type R on the whole space
+        word = res.witness.word
+        letters = ((group.gens if sign > 0 else group.inverses)[i] for i, sign in word)
+        raise NotTypeR(Witness(word, reduce(mul, letters)))
     if res.verdict != BOUNDED:
         return None
     dims.append(rest.n)

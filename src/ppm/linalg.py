@@ -201,10 +201,10 @@ class QMatrix:
         if isinstance(other, QMatrix):
             self._check(other)
             da, a = self._int_view()
-            db, b = other._int_view()
-            cols = tuple(zip(*b))
-            return QMatrix._from_ints(da * db, [[sum(map(mul, row, col)) for col in cols]
-                                                for row in a])
+            b, n = other._ints, other.n
+            cols = [b[1 + j::n] for j in range(n)]  # read by stride off the flat view
+            return QMatrix._from_ints(da * b[0], [[sum(map(mul, row, col)) for col in cols]
+                                                  for row in a])
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             d, a = self._int_view()

@@ -111,6 +111,19 @@ def test_finitely_generated_pipeline():
     assert analyze(pair, 1).conclusion == SURJECTIVE_AND_DENSE
 
 
+def test_only_an_unresolved_flag_cites_the_word_sampler(monkeypatch):
+    # a certified flag proves the group bounded and samples no word; the
+    # necessary-only search ran where the flag is unresolved
+    import ppm.analyzer
+    u1 = QMatrix([[1, 1], [0, 1]])
+    pair = GroupSpec(FINITELY_GENERATED, CTX3, 2,
+                     GeneratorSet.of(CTX3, [u1, QMatrix([[1, F(1, 3)], [0, 1]])]))
+    assert [name for name, _ in analyze(pair, 4).justification] == ["flag-certified"]
+    monkeypatch.setattr(ppm.analyzer, "ku_flag", lambda gens: None)
+    assert [name for name, _ in analyze(pair, 4).justification] \
+        == ["sampler-necessary-only", "flag-unresolved"]
+
+
 def test_subgroup_inheritance_within_compact_parent():
     pair = analyze_subgroup(GroupSpec(GL_ZP, CTX3, 2), GroupSpec(UNITS_ZP, CTX3), 5)
     assert pair.parent.conclusion == SURJECTIVE_AND_DENSE

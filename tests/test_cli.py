@@ -173,6 +173,19 @@ def test_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_usage_errors_are_input_errors(matrix_file, capsys):
+    # argparse exits 2 on a usage error, which is ppm's inconclusive code
+    assert main(["scale"]) == EXIT_INPUT
+    assert main(["scale", matrix_file, "--bogus"]) == EXIT_INPUT
+    assert main(["analyze", "GL_Zp(2)", "-k", "x"]) == EXIT_INPUT
+    assert main(["root", "--kind", "finite", matrix_file]) == EXIT_INPUT  # no -k
+    assert capsys.readouterr().err.count("usage: ppm") == 4
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == EXIT_OK
+    assert "usage: ppm" in capsys.readouterr().out
+
+
 def test_negative_caps_are_input_errors(matrix_file, gens_file, capsys):
     assert main(["typer", gens_file, "--word-len", "-1"]) == EXIT_INPUT
     assert main(["flag", gens_file, "--word-len", "-2"]) == EXIT_INPUT

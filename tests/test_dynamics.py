@@ -86,7 +86,7 @@ def test_commuting_unipotent_pair_is_bounded_with_enlarged_lattice():
         assert apply(g, res.invariant) == res.invariant
 
 
-def test_unbounded_by_monotone_divisor_divergence():
+def test_unbounded_by_a_letter_at_round_0_or_by_a_word_at_round_2n():
     # UNBOUNDED is certified before any round: the generator is not type R
     g1 = QMatrix.diagonal([F(1, 3), 1])
     res = bounded_group(GeneratorSet.of(CTX3, [g1]))
@@ -97,12 +97,15 @@ def test_unbounded_by_monotone_divisor_divergence():
     assert scale_newton(w, CTX3) > 0 or scale_newton(w.inverse(), CTX3) > 0
 
     # both generators are type R (their product is not): the divisors keep
-    # falling, yet divergence alone proves nothing, so the cap is reached
+    # falling, yet divergence alone proves nothing; the lattice still grows
+    # after 2n = 4 rounds, so the word search runs once and finds g1·g2
     res = bounded_group(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]))
-    assert res.verdict == INCONCLUSIVE
-    assert res.rounds == 64 and res.caps == {"rounds": 64} and res.witness is None
+    assert res.verdict == UNBOUNDED
+    assert res.rounds == 4 and res.caps is None and res.invariant is None
+    assert res.witness.word_str() == "g1·g2" and res.witness.matrix == U1 * LOWER_THIRD
+    assert not type_r_matrix(res.witness.matrix, CTX3)
     mins = [min(d) for d in res.divisor_trace]
-    assert len(mins) == 64
+    assert len(mins) == 4
     assert all(x >= y for x, y in zip(mins, mins[1:]))
 
 
@@ -218,11 +221,26 @@ def test_flag_rejects_non_type_r_input():
 
 
 def test_flag_extraction_path_stays_honest():
-    # with the sampler disabled, a contracting diagonal map reaches the flag
-    # search; its saturation ends UNBOUNDED, and a group with a certified
-    # flag is bounded, so the verdict is inconclusive
-    g = GeneratorSet.of(CTX3, [QMatrix.diagonal([F(1, 3), 1])])
-    assert ku_flag(g, word_len=0) is None
+    # a contracting diagonal map reaches the flag search; its saturation
+    # ends UNBOUNDED at round 0, and ku_flag raises that letter, since a
+    # group with a certified flag is bounded
+    g1 = QMatrix.diagonal([F(1, 3), 1])
+    with pytest.raises(NotTypeR) as info:
+        ku_flag(GeneratorSet.of(CTX3, [g1]))
+    assert info.value.witness.word_str() == "g1" and info.value.witness.matrix == g1
+
+
+def test_a_witness_found_on_the_last_quotient_is_raised_in_the_original_generators():
+    # the climb splits off e_1; on the quotient both letters are type R,
+    # the lattice still grows after 2n = 4 rounds, and the search finds
+    # g1·g2 there, which ku_flag multiplies out in the given generators
+    g1 = QMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    g2 = QMatrix([[1, 0, 1], [0, 1, 0], [0, F(1, 3), 1]])
+    with pytest.raises(NotTypeR) as info:
+        ku_flag(GeneratorSet.of(CTX3, [g1, g2]))
+    witness = info.value.witness
+    assert witness.word_str() == "g1·g2" and witness.matrix == g1 * g2
+    assert not type_r_matrix(witness.matrix, CTX3)
 
 
 def test_flag_three_step_tower():
@@ -274,8 +292,9 @@ def _record_saturations_and_searches(monkeypatch):
 
 
 def test_a_bounded_flag_checks_only_the_letters(eight_cycle, steep_symmetric, monkeypatch):
-    # the saturation decides the letters and stops within 2n rounds, so the
-    # word search, which a bounded group cannot fail, never runs
+    # one saturation with the default cap decides the letters and stops
+    # within 2n rounds, so the word search, which a bounded group cannot
+    # fail, never runs
     heis = [QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
             QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])]
     saturations, depths = _record_saturations_and_searches(monkeypatch)
@@ -286,18 +305,19 @@ def test_a_bounded_flag_checks_only_the_letters(eight_cycle, steep_symmetric, mo
         flag = ku_flag(GeneratorSet.of(CTX3, gens))
         assert flag.dims == dims
         last = dims[-1] - dims[-2]
-        assert saturations == [(last, 2 * last)]
+        assert saturations == [(last, 64)]
         assert depths == []
 
 
 def test_an_unresolved_saturation_falls_back_to_the_word_search(monkeypatch):
-    # both generators are type R, the group is not bounded: 4 rounds run out,
-    # then the whole search finds g1·g2, and no 64-round saturation runs
+    # both generators are type R, the group is not bounded: the lattice
+    # still grows after 4 rounds, so the one saturation runs the search,
+    # which finds g1·g2 and ends it
     saturations, depths = _record_saturations_and_searches(monkeypatch)
     with pytest.raises(NotTypeR) as info:
         ku_flag(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]))
     assert info.value.witness.word_str() == "g1·g2"
-    assert saturations == [(2, 4)]
+    assert saturations == [(2, 64)]
     assert depths == [4]
 
 
@@ -305,8 +325,6 @@ def test_witness_search_rejects_a_negative_word_length():
     group = GeneratorSet.of(CTX3, [U1])
     with pytest.raises(ValueError, match="word_len"):
         type_r_witness_search(group, -1)
-    with pytest.raises(ValueError, match="word_len"):
-        ku_flag(group, word_len=-2)
     assert type_r_witness_search(group, 0) is None
 
 
@@ -534,18 +552,18 @@ def test_law_the_determinant_first_rule_is_type_r_matrix(p, n, integral, data):
 
 # -- ku_flag answers as if it searched all words first -----------------------
 
-def searching_first(group, word_len):
-    """The order ku_flag's answer must match: the whole word search, then
-    the flag with no search."""
-    witness = type_r_witness_search(group, word_len)
+def searching_first(group):
+    """The order ku_flag's answer must match: the whole word search at its
+    default length, then the flag, whose search then finds nothing."""
+    witness = type_r_witness_search(group)
     if witness is not None:
         raise NotTypeR(witness)
-    return ku_flag(group, word_len=0)
+    return ku_flag(group)
 
 
-def _flag_outcome(find, group, word_len):
+def _flag_outcome(find, group):
     try:
-        flag = find(group, word_len)
+        flag = find(group)
     except NotTypeR as exc:
         return "witness", exc.witness.word, exc.witness.matrix
     if flag is None:
@@ -600,22 +618,19 @@ def flag_groups(draw, family):
 
 @pytest.mark.parametrize("family", FLAG_FAMILIES)
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), word_len=st.sampled_from([0, 1, 2, 4]))
-def test_law_ku_flag_answers_as_if_it_searched_first(family, data, word_len):
+@given(data=st.data())
+def test_law_ku_flag_answers_as_if_it_searched_first(family, data):
     group = data.draw(flag_groups(family))
-    assert _flag_outcome(ku_flag, group, word_len) \
-        == _flag_outcome(searching_first, group, word_len)
+    assert _flag_outcome(ku_flag, group) == _flag_outcome(searching_first, group)
 
 
-@pytest.mark.parametrize("gens, word_len", [
-    ([U1, LOWER_THIRD], 4),  # type-R letters, unbounded: the search runs last
-    ([U1, LOWER_THIRD], 1),
-    ([QMatrix.diagonal([F(1, 3), 1])], 0),  # the saturation ends UNBOUNDED
-], ids=["unipotent-pair-depth-4", "unipotent-pair-depth-1", "contracting-depth-0"])
-def test_ku_flag_answers_as_if_it_searched_first_on_the_fallback_paths(gens, word_len):
+@pytest.mark.parametrize("gens", [
+    [U1, LOWER_THIRD],  # type-R letters, unbounded: the search runs at round 4
+    [QMatrix.diagonal([F(1, 3), 1])],  # the saturation ends UNBOUNDED at round 0
+], ids=["unipotent-pair", "contracting-diagonal"])
+def test_ku_flag_answers_as_if_it_searched_first_on_the_fallback_paths(gens):
     group = GeneratorSet.of(CTX3, gens)
-    assert _flag_outcome(ku_flag, group, word_len) \
-        == _flag_outcome(searching_first, group, word_len)
+    assert _flag_outcome(ku_flag, group) == _flag_outcome(searching_first, group)
 
 
 @pytest.mark.parametrize("gens, dims", [

@@ -27,3 +27,15 @@ def test_only_linalg_reads_the_storage_of_matrices_and_lattices():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in STORAGE]
     assert found == []
+
+
+def test_the_word_search_runs_only_in_the_saturation_and_the_typer_command():
+    # one boundedness decision: ku_flag and the analyzer reach the search
+    # only through bounded_group
+    # each call is named by the top-level statement that holds it
+    callers = {(module, getattr(stmt, "name", None)) for module, tree in _trees()
+               for stmt in tree.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Call)
+               and "type_r_witness_search" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))}
+    assert callers == {("dynamics", "bounded_group"), ("cli", "_cmd_typer")}
