@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import BOUNDED, UNBOUNDED, GeneratorSet, bounded_group
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, char_poly, dual_image, grow
+from .linalg import Lattice, QMatrix, apply, char_poly, dual_image, grow
 from .qpcore import PContext, vp_frac
 
 
@@ -107,18 +106,21 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
 
 
 def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
-    """A lattice L with alpha(L) = L, or None when no such lattice exists.
-
-    Exists exactly when s(alpha) = s(alpha^{-1}) = 1, i.e. alpha is type
-    R. dynamics.bounded_group decides that first and returns a certified
-    UNBOUNDED, hence None, when it fails; otherwise it saturates the
-    standard lattice under alpha and its inverse within 8n growth rounds.
-    """
-    cap = 8 * a.n
-    res = bounded_group(GeneratorSet.of(ctx, [a]), rounds_cap=cap + 1)  # + the confirming round
-    if res.verdict == UNBOUNDED:
+    """A lattice L with alpha(L) = L, or None when none exists. One exists iff
+    alpha is type R: v_p(det) = 0, and alpha is p-integral or s(alpha) = 1.
+    Then the char poly is p-integral with a unit constant term, so alpha^-1
+    and alpha^n lie in the Z_p-span of 1, ..., alpha^(n-1) (Cayley-Hamilton),
+    and L_{k+1} = L_k + alpha(L_k) from Z_p^n stops within n growth rounds at
+    the saturation sum_{k<n} alpha^k Z_p^n. No cap applies; nothing is inverted."""
+    det = a.det()
+    if det == 0:
+        raise Singular("matrix is singular")
+    if vp_frac(det, ctx.p) or (a.denominator % ctx.p == 0 and scale_newton(a, ctx) > 0):
         return None
-    if res.verdict != BOUNDED:
-        raise CapExceeded(f"invariant-lattice saturation ran past {cap} rounds",
-                          res.divisor_trace)
-    return res.invariant
+    lat = Lattice.standard(ctx, a.n)
+    for _ in range(a.n):
+        grown = grow(lat, [a])
+        if grown == lat and apply(a, lat) == lat:  # exact re-check; det is a unit
+            return lat
+        lat = grown
+    raise InternalInvariantViolation(f"the chain found no invariant lattice in {a.n} rounds")

@@ -39,3 +39,12 @@ def test_the_word_search_runs_only_in_the_saturation_and_the_typer_command():
                and "type_r_witness_search" in (getattr(node.func, "id", None),
                                                getattr(node.func, "attr", None))}
     assert callers == {("dynamics", "bounded_group"), ("cli", "_cmd_typer")}
+
+
+def test_scale_does_not_import_dynamics():
+    # invariant_lattice runs its own chain, not the group saturation
+    found = [node.lineno for module, tree in _trees() if module == "scale"
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and any("dynamics" in name for name in
+                     [node.module or ""] + [alias.name for alias in node.names])]
+    assert found == []

@@ -99,6 +99,10 @@ def test_invariant_lattice_examples():
     assert invariant_lattice(QMatrix.diagonal([F(1, 3), 1]), CTX3) is None
     lat = invariant_lattice(QMatrix([[1, F(1, 3)], [0, 1]]), CTX3)
     assert lat == Lattice.from_diagonal_exponents(CTX3, [-1, 0])
+    # v_p(0) is INFINITY, which is truthy: a determinant-first check must
+    # test det == 0 before it reads the valuation
+    with pytest.raises(Singular):
+        invariant_lattice(QMatrix([[1, 1], [2, 2]]), CTX3)
 
 
 def test_invariant_lattice_is_exactly_invariant():
@@ -131,6 +135,25 @@ def test_at_most_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
             query(a, CTX3)
             # v_3(det) = -1 decides that steep has no invariant lattice
             assert calls == ([] if query is invariant_lattice and a is steep else [a])
+
+
+def test_invariant_lattice_inverts_nothing_and_grows_at_most_n_rounds(monkeypatch):
+    # the conjugated Jordan block has 1/3 above its diagonal: its chain
+    # grows n - 1 times and stops at the n-th grow, the bound exactly
+    jordan = QMatrix([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
+    c = QMatrix.diagonal([27, 9, 3, 1]) * QMatrix([[1, 2, 0, -1], [0, 1, 1, 0], [0, 0, 1, 2],
+                                                   [0, 0, 0, 1]])
+    cases = [QMatrix([[1, F(1, 3)], [0, 1]]), c.inverse() * jordan * c]
+    inverses, grows = [], []
+    real_inverse, real_grow = QMatrix.inverse, ppm.scale.grow
+    monkeypatch.setattr(QMatrix, "inverse", lambda m: inverses.append(m) or real_inverse(m))
+    monkeypatch.setattr(ppm.scale, "grow",
+                        lambda lat, mats: grows.append(lat) or real_grow(lat, mats))
+    for a in cases:
+        grows.clear()
+        lat = invariant_lattice(a, CTX3)
+        assert lat is not None and apply(a, lat) == lat
+        assert inverses == [] and 1 < len(grows) <= a.n
 
 
 small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(3), F(1, 3), F(-2, 9), F(5, 2)])
