@@ -24,7 +24,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, grow, rref
+from .linalg import Lattice, QMatrix, apply, char_poly, grow, rref
 from .qpcore import PContext, vp_frac
 
 _DEFAULT_WORD_LEN = 4
@@ -151,13 +151,11 @@ class BoundednessResult:
     certificate). UNBOUNDED carries a word that is not type R, so its
     powers are unbounded and no invariant lattice exists: a generator at
     round 0, or the sampler's word at round min(2n, cap). INCONCLUSIVE
-    reports the caps that ran out. Each verdict keeps the elementary
-    divisors of each grown lattice against Z_p^n, round by round.
+    reports the caps that ran out. rounds counts the saturation rounds run.
     """
 
     verdict: str
     invariant: Optional[Lattice] = None
-    divisor_trace: tuple = ()
     rounds: int = 0
     caps: Optional[dict] = None
     witness: Optional[Witness] = None
@@ -177,28 +175,22 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
     for i, g in enumerate(group.gens):
         if not _type_r_view(g, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
-    start = Lattice.standard(ctx, group.n)
     gens_and_invs = group.with_inverses()
     search_round = min(2 * group.n, rounds_cap)
-    lat = start
-    trace = []
+    lat = Lattice.standard(ctx, group.n)
     for round_no in range(1, rounds_cap + 1):
         grown = grow(lat, gens_and_invs)
         if grown == lat:
             if any(apply(h, lat) != lat for h in gens_and_invs):
                 raise InternalInvariantViolation(
                     "saturation fixpoint is not generator-invariant")
-            return BoundednessResult(BOUNDED, invariant=lat, divisor_trace=tuple(trace),
-                                     rounds=round_no)
-        trace.append(elementary_divisors(start, grown))
+            return BoundednessResult(BOUNDED, invariant=lat, rounds=round_no)
         lat = grown
         if round_no == search_round:
             witness = type_r_witness_search(group)
             if witness is not None:
-                return BoundednessResult(UNBOUNDED, divisor_trace=tuple(trace),
-                                         rounds=round_no, witness=witness)
-    return BoundednessResult(INCONCLUSIVE, divisor_trace=tuple(trace), rounds=rounds_cap,
-                             caps={"rounds": rounds_cap})
+                return BoundednessResult(UNBOUNDED, rounds=round_no, witness=witness)
+    return BoundednessResult(INCONCLUSIVE, rounds=rounds_cap, caps={"rounds": rounds_cap})
 
 
 @dataclass(frozen=True)
@@ -243,7 +235,8 @@ def _verify_flag(group: GeneratorSet, flag: FlagDecomposition):
 
 def common_fixed_space(group: GeneratorSet):
     """Basis of the subspace fixed pointwise by every generator: the
-    nullspace of the stacked g - 1, one vector per free column."""
+    nullspace of the stacked g - 1, one vector per free column c, which is
+    1 at c and zero past it (a pivot row's entries sit right of its pivot)."""
     stacked = []
     ident = QMatrix.identity(group.n)
     for g in group.gens:
@@ -262,13 +255,13 @@ def common_fixed_space(group: GeneratorSet):
 
 
 def _complete_basis(cols, n):
-    """Extend independent columns to a basis using standard vectors: e_j
-    joins when it lies outside the span of cols and e_0, ..., e_(j-1), that
-    is when coordinate j is no pivot of cols read from the last coordinate
-    to the first."""
-    pivots = rref([list(reversed(c)) for c in cols])[1]
-    added = [[Fraction(int(i == j)) for i in range(n)]
-             for j in range(n) if n - 1 - j not in pivots]
+    """Extend common_fixed_space's columns to a basis using standard
+    vectors, with no elimination: e_j joins when it lies outside the span of
+    cols and e_0, ..., e_(j-1). Each column's last nonzero coordinate is its
+    own free column, where it is 1, so e_j joins iff j is no such
+    coordinate, that is iff j is a pivot of the stacked g - 1."""
+    lasts = {max(i for i, x in enumerate(c) if x) for c in cols}
+    added = [[Fraction(int(i == j)) for i in range(n)] for j in range(n) if j not in lasts]
     return QMatrix.from_columns([list(c) for c in cols] + added)
 
 

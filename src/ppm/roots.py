@@ -126,10 +126,13 @@ def unipotent_root(u: QMatrix, k: int) -> RootResult:
 def _as_approx(a, ctx: Optional[PContext], level: Optional[int]):
     """(a as a PadicApproxMatrix reduced mod p^level, its context, the
     working level). A PadicApproxMatrix brings its own context and default
-    level, and bounds the level: past it the entries are unknown."""
+    level, and bounds the level: past it the entries are unknown. A ctx
+    given with it must have its prime."""
     if level is not None and level < 1:
         raise ValueError("level must be >= 1")
     if isinstance(a, PadicApproxMatrix):
+        if ctx is not None and ctx.p != a.ctx.p:
+            raise ValueError(f"matrix is over p = {a.ctx.p}, context is p = {ctx.p}")
         if level is not None and level > a.level:
             raise PrecisionExhausted(
                 f"matrix is known mod {a.ctx.p}^{a.level}, not mod {a.ctx.p}^{level}")

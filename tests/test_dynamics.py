@@ -11,7 +11,7 @@ from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness
     _complete_basis, _type_r_view, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
     type_r_witness_search
 from ppm.errors import NotTypeR, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, rref
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, grow, rref
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton
 
@@ -91,32 +91,33 @@ def test_unbounded_by_a_letter_at_round_0_or_by_a_word_at_round_2n():
     g1 = QMatrix.diagonal([F(1, 3), 1])
     res = bounded_group(GeneratorSet.of(CTX3, [g1]))
     assert res.verdict == UNBOUNDED
-    assert (res.rounds, res.divisor_trace, res.invariant) == (0, (), None)
+    assert (res.rounds, res.invariant) == (0, None)
     assert res.witness.word_str() == "g1" and res.witness.matrix == g1
     w = res.witness.matrix
     assert scale_newton(w, CTX3) > 0 or scale_newton(w.inverse(), CTX3) > 0
 
-    # both generators are type R (their product is not): the divisors keep
-    # falling, yet divergence alone proves nothing; the lattice still grows
-    # after 2n = 4 rounds, so the word search runs once and finds g1·g2
+    # both generators are type R (their product is not): the lattice still
+    # grows after 2n = 4 rounds, so the word search runs once and finds g1·g2
     res = bounded_group(GeneratorSet.of(CTX3, [U1, LOWER_THIRD]))
     assert res.verdict == UNBOUNDED
     assert res.rounds == 4 and res.caps is None and res.invariant is None
     assert res.witness.word_str() == "g1·g2" and res.witness.matrix == U1 * LOWER_THIRD
     assert not type_r_matrix(res.witness.matrix, CTX3)
-    mins = [min(d) for d in res.divisor_trace]
-    assert len(mins) == 4
-    assert all(x >= y for x, y in zip(mins, mins[1:]))
 
 
 def test_divergence_evidence_never_overrules_a_type_r_generator(eight_cycle):
-    # the first four rounds look like divergence (minimum divisors -10 down
-    # to -40), but a type-R generator has an invariant lattice, so
-    # saturation must go on until it is reached
+    # the first four rounds look like divergence (minimum divisors against
+    # Z_3^8 from -10 down to -40), but a type-R generator has an invariant
+    # lattice, so saturation must go on until it is reached
     group = GeneratorSet.of(CTX3, [eight_cycle])
+    std = lat = Lattice.standard(CTX3, 8)
+    mins = []
+    for _ in range(4):
+        lat = grow(lat, group.with_inverses())
+        mins.append(min(elementary_divisors(std, lat)))
+    assert mins == [-10, -20, -30, -40]
     res = bounded_group(group)
-    assert res.verdict == BOUNDED
-    assert [min(d) for d in res.divisor_trace[:4]] == [-10, -20, -30, -40]
+    assert res.verdict == BOUNDED and res.rounds > 4
     assert apply(eight_cycle, res.invariant) == res.invariant
     assert ku_flag(group).dims == (0, 1, 8)
     verdict = analyze(GroupSpec(FINITELY_GENERATED, CTX3, 8, group), 4)
@@ -128,7 +129,6 @@ def test_a_saturation_past_its_round_cap_is_inconclusive(eight_cycle):
     assert res.verdict == INCONCLUSIVE
     assert res.rounds == 2 and res.invariant is None
     assert res.caps == {"rounds": 2}
-    assert [min(d) for d in res.divisor_trace] == [-10, -20]
 
 
 def test_one_canonicalisation_per_saturation_round(eight_cycle, monkeypatch):
@@ -271,6 +271,20 @@ def test_ku_flag_saturates_once(monkeypatch):
     flag = ku_flag(GeneratorSet.of(CTX3, [heis_a, heis_b]))
     assert flag.dims == (0, 1, 2, 3)
     assert calls == [1]
+
+    # one elimination per climbing step, and one more that finds the last
+    # quotient fixed: the basis completion reads its pivots off the fixed space
+    eliminations = []
+
+    def counting_rref(rows):
+        eliminations.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(ppm.dynamics, "rref", counting_rref)
+    calls.clear()
+    flag = ku_flag(GeneratorSet.of(CTX3, [QMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])]))
+    assert flag.dims == (0, 1, 2, 3)
+    assert calls == [1] and len(eliminations) == 3
 
 
 def _record_saturations_and_searches(monkeypatch):
@@ -447,13 +461,16 @@ def _greedy_completion(cols, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 4), data=st.data())
-def test_basis_completion_matches_the_greedy_reference(n, data):
-    d = data.draw(st.integers(1, n))
-    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    cols = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                              min_size=d, max_size=d))
-    assume(len(rref(cols)[1]) == d)
+@given(n=st.integers(1, 4), count=st.integers(1, 2), data=st.data())
+def test_basis_completion_matches_the_greedy_reference(n, count, data):
+    # the completion's only inputs: fixed spaces of near-identity groups,
+    # identity plus a sparse perturbation
+    entries = st.sampled_from([0] * 8 + [1, -1, F(1, 3), F(-2, 3)])
+    perturbation = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    gens = [QMatrix.identity(n) + QMatrix(data.draw(perturbation)) for _ in range(count)]
+    assume(all(g.det() != 0 for g in gens))
+    cols = common_fixed_space(GeneratorSet.of(CTX3, gens))
+    assume(cols)
     assert _complete_basis(cols, n) == _greedy_completion(cols, n)
 
 

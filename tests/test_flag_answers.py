@@ -1,16 +1,20 @@
 """Identical-answer guard for the flag layer: a sha256 digest of the
 saturation verdicts and flags on a fixed-seed sample of generator sets.
 
-For each set it records bounded_group's verdict, rounds, divisor trace,
-caps, invariant lattice and witness word, and ku_flag's answer: the
-flag's dims, basis and quotient lattices, None, or the witness word. The
+For each set it records bounded_group's verdict, rounds, caps,
+invariant lattice and witness word, and ku_flag's answer: the flag's
+dims, basis and quotient lattices, None, or the witness word. The
 families are conjugated p-power diagonals, conjugated elementary
 products, unipotents with 1/p entries and an expanding corner, at p in
 {2, 3} and n in {2, 3}. A deliberate change of any answer updates DIGEST
-and says why. It last changed when bounded_group's witness word joined
-the hashed tuple, so that a change of word shows even where rounds and
-traces stay; the same code gave the new digest before and after that
-edit, so no answer changed. Before that, it changed when bounded_group
+and says why. It last changed when BoundednessResult lost its divisor
+trace (the elementary divisors of each grown lattice against Z_p^n),
+which left the hashed tuple; the code before that change gives the same
+new digest on the trace-free tuple, so no answer changed. Before that,
+it changed when bounded_group's witness word joined the hashed tuple, so
+that a change of word shows even where rounds and traces stay; the same
+code gave the new digest before and after that edit, so no answer
+changed. Before that, it changed when bounded_group
 came to run the word search itself,
 once the lattice still grows after 2n rounds, and ku_flag lost its
 word_len and the column of answers with the sampler off: the 2
@@ -44,7 +48,7 @@ from ppm.scale import scale_newton
 
 from test_identical_answers import _canon, _conjugator, _elementary
 
-DIGEST = "45ea9fe0e57e36ec756aa1c552ef7502861ed1f21ae5559c512ef0c468a7eb9b"
+DIGEST = "3d628c9efa360bcf53b87fb9eeff4614f9a16bcb3db77179cd2431b773016a58"
 
 
 def _unipotent(rng, p, n):
@@ -120,8 +124,8 @@ def test_answers_match_the_recorded_digest():
     answers = []
     for group, res, flag in _results():
         caps = None if res.caps is None else sorted(res.caps.items())
-        answers.append((group.ctx.p, group.gens, res.verdict, res.rounds, res.divisor_trace,
-                        caps, res.invariant, res.witness.word if res.witness else None,
+        answers.append((group.ctx.p, group.gens, res.verdict, res.rounds, caps,
+                        res.invariant, res.witness.word if res.witness else None,
                         _flag_canon(flag)))
     text = repr(_canon(answers))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST

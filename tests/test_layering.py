@@ -1,5 +1,6 @@
-"""Only ``linalg`` knows how a QMatrix or a Lattice is stored, and no module
-imports another module's private (underscore) names."""
+"""Only ``linalg`` knows how a QMatrix or a Lattice is stored or names the
+Smith form, and no module imports another module's private (underscore)
+names."""
 import ast
 from pathlib import Path
 
@@ -47,4 +48,16 @@ def test_scale_does_not_import_dynamics():
              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              and any("dynamics" in name for name in
                      [node.module or ""] + [alias.name for alias in node.names])]
+    assert found == []
+
+
+def test_only_linalg_names_the_smith_form():
+    # no solver calls the Smith form; the package namespace re-exports it
+    # as public API
+    smith = {"elementary_divisors", "elementary_divisors_with_directions"}
+    found = [(module, node.lineno) for module, tree in _trees()
+             if module not in ("linalg", "__init__") for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in smith)
+             or (isinstance(node, ast.Attribute) and node.attr in smith)
+             or (isinstance(node, ast.alias) and node.name in smith)]
     assert found == []

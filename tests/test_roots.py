@@ -278,6 +278,16 @@ def test_a_root_level_above_the_known_level_is_not_claimed():
         assert solve(a, 3, level=2).status == FOUND
 
 
+def test_a_context_with_another_prime_is_refused():
+    """4 is known mod 3^2; a context at p = 5 would have the roots read
+    mod 3^2 all the same, so it is refused; one at p = 3 is accepted."""
+    a = PadicApproxMatrix(CTX3, 2, ((4, 0), (0, 1)))
+    for solve in (congruence_root, finite_root):
+        with pytest.raises(ValueError, match="p = 3"):
+            solve(a, 2, CTX5)
+        assert solve(a, 2, PContext(3, 7)).status == FOUND
+
+
 def test_found_constructor_is_only_reachable_verified(monkeypatch):
     # powering checks guard every found path; forcing a wrong root must raise
     from ppm.errors import InternalInvariantViolation
