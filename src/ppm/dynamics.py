@@ -8,11 +8,11 @@ bounded. The decision is one loop, ``bounded_group``: it checks each
 generator once, saturates, and runs the sampler once, when 2n rounds
 have not stopped. The flag climbs the tower of common fixed subspaces by
 linear algebra alone, carrying one basis, and runs that loop once, on
-the last quotient; flag certificates are re-verified before they are
-returned. Every UNBOUNDED verdict is certified by the scale criterion: a
-word in the generators is not type R, a generator at round 0 or a
-sampled word at round 2n. Otherwise the verdict is BOUNDED or
-INCONCLUSIVE (the round cap ran out).
+the last quotient; lattice and flag certificates are checked by
+containment, with no Hermite form. Every UNBOUNDED verdict is certified
+by the scale criterion: a word in the generators is not type R, a
+generator at round 0 or a sampled word at round 2n. Otherwise the
+verdict is BOUNDED or INCONCLUSIVE (the round cap ran out).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, grow, rref
+from .linalg import Lattice, QMatrix, char_poly, eliminate, grow, maps_into
 from .qpcore import PContext, vp_frac
 
 _DEFAULT_WORD_LEN = 4
@@ -163,12 +163,13 @@ class BoundednessResult:
 
 def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> BoundednessResult:
     """UNBOUNDED, with no rounds, at the first generator that is not type R
-    (the scale criterion; complete for one generator). Otherwise grow the
-    standard lattice by the generators and their inverses, one Hermite
-    form per round, until it stops (BOUNDED, with the fixpoint as
-    certificate) or rounds_cap rounds have run (INCONCLUSIVE). If it still
-    grows after round min(2n, rounds_cap), the word search runs once: a
-    witness ends the loop UNBOUNDED at that round."""
+    (the scale criterion; complete for one generator). Otherwise each round
+    checks the lattice, Z_p^n first, then grows it by the generators and
+    their inverses in one Hermite form. The check certifies BOUNDED with no
+    Hermite form: g(L) <= L for each g, of unit det, is g(L) = L. rounds_cap
+    rounds end INCONCLUSIVE. If it still grows after round min(2n,
+    rounds_cap), the word search runs once: a witness ends the loop
+    UNBOUNDED at that round."""
     if rounds_cap < 0:
         raise ValueError("rounds_cap must be non-negative")
     ctx = group.ctx
@@ -176,20 +177,16 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
         if not _type_r_view(g, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
     gens_and_invs = group.with_inverses()
-    search_round = min(2 * group.n, rounds_cap)
     lat = Lattice.standard(ctx, group.n)
     for round_no in range(1, rounds_cap + 1):
-        grown = grow(lat, gens_and_invs)
-        if grown == lat:
-            if any(apply(h, lat) != lat for h in gens_and_invs):
-                raise InternalInvariantViolation(
-                    "saturation fixpoint is not generator-invariant")
+        if all(maps_into(g, lat) for g in group.gens):
             return BoundednessResult(BOUNDED, invariant=lat, rounds=round_no)
-        lat = grown
-        if round_no == search_round:
+        if round_no == min(2 * group.n, rounds_cap):
             witness = type_r_witness_search(group)
             if witness is not None:
                 return BoundednessResult(UNBOUNDED, rounds=round_no, witness=witness)
+        if round_no < rounds_cap:
+            lat = grow(lat, gens_and_invs)
     return BoundednessResult(INCONCLUSIVE, rounds=rounds_cap, caps={"rounds": rounds_cap})
 
 
@@ -215,51 +212,51 @@ class FlagDecomposition:
         return len(self.dims) - 1
 
     def block(self, mat: QMatrix, i: int) -> QMatrix:
-        lo, hi = self.dims[i], self.dims[i + 1]
-        return QMatrix([row[lo:hi] for row in mat.rows[lo:hi]])
+        return mat.block(self.dims[i], self.dims[i + 1])
 
 
 def _verify_flag(group: GeneratorSet, flag: FlagDecomposition):
+    """Re-check the flag with no Hermite form: g t = t conj, conj block
+    triangular, and each diagonal block maps its lattice into itself, so its
+    det has v_p >= 0; these sum to v_p(det g) = 0, so each block fixes it."""
     basis = flag.flag_basis  # invertible: a product of the steps ku_flag inverted
-    for g, conj in zip(group.gens, flag.conjugated_gens):
-        if g * basis != basis * conj:
-            raise InternalInvariantViolation("conjugated generator mismatch")
+    for g, det, conj in zip(group.gens, group.dets, flag.conjugated_gens):
+        if g * basis != basis * conj or vp_frac(det, group.ctx.p):
+            raise InternalInvariantViolation("conjugated generator mismatch, or a non-unit det")
         for i, lat in enumerate(flag.quotient_lattices):
             lo, hi = flag.dims[i], flag.dims[i + 1]
-            if any(conj.rows[r][c] != 0 for r in range(hi, group.n) for c in range(lo, hi)):
+            if any(any(row[lo:hi]) for row in conj.numerators[hi:]):
                 raise InternalInvariantViolation("flag certificate is not block triangular")
-            if apply(flag.block(conj, i), lat) != lat:
+            if not maps_into(flag.block(conj, i), lat):
                 raise InternalInvariantViolation(
                     "diagonal block does not fix its quotient lattice")
 
 
 def common_fixed_space(group: GeneratorSet):
     """Basis of the subspace fixed pointwise by every generator: the
-    nullspace of the stacked g - 1, one vector per free column c, which is
-    1 at c and zero past it (a pivot row's entries sit right of its pivot)."""
-    stacked = []
-    ident = QMatrix.identity(group.n)
-    for g in group.gens:
-        stacked.extend((g - ident).rows)
-    m, pivots, _ = rref(stacked)
+    nullspace of the stacked integer rows of d (g - 1), d = g's denominator
+    (scaling keeps it). One vector per free column c, 1 at c and zero past
+    it (a pivot row's entries sit right of its pivot), and -m[i][c] / P at
+    pivot i, P the last pivot, by which eliminate scales the reduced form."""
+    m = [[x - g.denominator * (i == j) for j, x in enumerate(row)]
+         for g in group.gens for i, row in enumerate(g.numerators)]
+    pivots, _, _ = eliminate(m, group.n)
+    last = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for c in range(group.n):
-        if c in pivots:
-            continue
-        vec = [Fraction(0)] * group.n
-        vec[c] = Fraction(1)
+    for c in [j for j in range(group.n) if j not in pivots]:
+        vec = [Fraction(int(k == c)) for k in range(group.n)]
         for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][c]
+            vec[pc] = Fraction(-m[i][c], last)
         basis.append(tuple(vec))
     return basis
 
 
 def _complete_basis(cols, n):
-    """Extend common_fixed_space's columns to a basis using standard
-    vectors, with no elimination: e_j joins when it lies outside the span of
-    cols and e_0, ..., e_(j-1). Each column's last nonzero coordinate is its
-    own free column, where it is 1, so e_j joins iff j is no such
-    coordinate, that is iff j is a pivot of the stacked g - 1."""
+    """Extend the columns to a basis using standard vectors, with no
+    elimination: e_j joins when it lies outside the span of cols and
+    e_0, ..., e_(j-1). Each column is 1 at its last nonzero coordinate, and
+    no two share it (unit vectors, and common_fixed_space's vectors at their
+    free columns), so e_j joins iff j is no such coordinate."""
     lasts = {max(i for i, x in enumerate(c) if x) for c in cols}
     added = [[Fraction(int(i == j)) for i in range(n)] for j in range(n) if j not in lasts]
     return QMatrix.from_columns([list(c) for c in cols] + added)
@@ -303,13 +300,11 @@ def ku_flag(group: GeneratorSet) -> Optional[FlagDecomposition]:
         if not 0 < len(fixed) < rest.n:  # a fixed space is always invariant
             break
         cut, d = n - rest.n, len(fixed)
-        completion = _complete_basis(fixed, rest.n)  # embedded as diag(1_cut, completion)
-        step = QMatrix([[int(i == j) for j in range(n)] for i in range(cut)]
-                       + [[0] * cut + list(row) for row in completion.rows])
+        unit = [[int(i == j) for i in range(n)] for j in range(cut)]  # step = diag(1, completion)
+        step = _complete_basis(unit + [[0] * cut + list(v) for v in fixed], n)
         step_inv = step.inverse()
         t, conj = t * step, tuple(step_inv * c * step for c in conj)
-        rest = GeneratorSet(ctx, rest.n - d, tuple(
-            QMatrix([row[cut + d:] for row in c.rows[cut + d:]]) for c in conj))
+        rest = GeneratorSet(ctx, rest.n - d, tuple(c.block(cut + d, n) for c in conj))
         dims.append(d)
         lattices.append(Lattice.standard(ctx, d))
     res = bounded_group(rest)

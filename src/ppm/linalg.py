@@ -1,12 +1,11 @@
 """Exact matrices over Q, Newton polygons, and Z_p-lattice arithmetic.
 
 Every Gaussian elimination over Q goes through one fraction-free integer
-kernel, ``_eliminate``; ``rref`` is its interface on rational rows and
-returns the reduced row echelon form, the pivot columns and the
-determinant, all exact. Determinants, inverses (from a QMatrix's integer
-view, with no Fraction row), ranks and nullspaces
-(``dynamics.common_fixed_space``) are read off it; since the reduced
-form is unique, so are their results.
+kernel, ``eliminate``, on integer rows: ``rref`` runs it on rational rows
+and returns the reduced row echelon form, the pivot columns and the
+determinant, all exact; determinants, inverses and nullspaces
+(``dynamics.common_fixed_space``) run it on QMatrix integer views. The
+reduced form is unique, and so are their results.
 
 A Lattice is a full-rank Z_p-lattice in Q_p^n, i.e. a compact open
 subgroup of the additive group, held as p^-s times an integer Hermite
@@ -18,6 +17,8 @@ the Smith form records its row operations in an identity block, from
 which ``elementary_divisors_with_directions`` reads its directions.
 ``grow`` sums a lattice with its images under several matrices in one
 Hermite form; saturation rounds and tidying steps are built on it.
+``maps_into`` tests a(L) <= L off L's integer adjugate, with no Hermite
+form; as [L : a(L)] = p^v_p(det a), with a unit det that is a(L) = L.
 ``dual_image`` maps a lattice's dual, read off its integer adjugate, in
 one Hermite form, as a tidying run does to return its lattice.
 """
@@ -40,7 +41,7 @@ def _cleared(vec):
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def _eliminate(m, width, det_only=False):
+def eliminate(m, width, det_only=False):
     """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on integer
     rows m, in place, with rref's pivot search. The pivot P_k in row r
     turns every other row x into (P_k x - x_c top) / P_(k-1); entries stay
@@ -82,13 +83,13 @@ def rref(rows, width=None, det_only=False):
     the determinant of the first width columns when they form a square
     block. det_only clears below each pivot only, leaving the rows in
     echelon form, and stops at the first column without a pivot (det 0).
-    Runs _eliminate on the rows cleared of their denominators (which keeps
+    Runs eliminate on the rows cleared of their denominators (which keeps
     the reduced form), then divides each row back by P (rows past the rank
     also by their own scale) and det by the scales.
     """
     scales, m = map(list, zip(*map(_cleared, rows)))
     width = len(m[0]) if width is None else width
-    pivots, order, det = _eliminate(m, width, det_only)
+    pivots, order, det = eliminate(m, width, det_only)
     last, rank = (m[len(pivots) - 1][pivots[-1]] if pivots else 1), len(pivots)
     reduced = [[Fraction(x, last if i < rank else last * scales[order[i]]) for x in row]
                for i, row in enumerate(m)]
@@ -159,6 +160,15 @@ class QMatrix:
     def denominator(self) -> int:
         """The least common denominator d > 0 of the entries."""
         return self._ints[0]
+
+    @property
+    def numerators(self):
+        """The integer rows of denominator * self, as tuples."""
+        return self._int_view()[1]
+
+    def block(self, lo: int, hi: int) -> "QMatrix":
+        """The diagonal block of rows and columns lo, ..., hi - 1."""
+        return QMatrix._from_ints(self.denominator, [r[lo:hi] for r in self.numerators[lo:hi]])
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -241,7 +251,7 @@ class QMatrix:
     def det(self) -> Fraction:
         """det(N) / d^n, det(N) read off the forward pass of the kernel."""
         d, m = self._int_view()
-        return Fraction(_eliminate(list(map(list, m)), self.n, det_only=True)[2], d ** self.n)
+        return Fraction(eliminate(list(map(list, m)), self.n, det_only=True)[2], d ** self.n)
 
     def inverse(self) -> "QMatrix":
         """Inverse, read off the reduced form of [N | d * 1]: its right
@@ -249,7 +259,7 @@ class QMatrix:
         n = self.n
         d, m = self._int_view()
         aug = [[*row, *(d if i == j else 0 for j in range(n))] for i, row in enumerate(m)]
-        pivots, _, _ = _eliminate(aug, n)
+        pivots, _, _ = eliminate(aug, n)
         if len(pivots) < n:
             raise Singular("matrix is singular")
         return QMatrix._from_ints(aug[0][0], [row[n:] for row in aug])
@@ -515,26 +525,27 @@ class Lattice:
             object.__setattr__(self, "_adj", tuple(zip(*adj)))
             return self._adj
 
-    def _covers(self, cols, k: int) -> bool:
-        """Whether adj(H) * col = 0 mod p^k for every integer column."""
+    def _covers(self, span: _Span) -> bool:
+        """Whether span lies in L: adj(H) col = 0 mod p^(sum(exps) + its shift - shift)."""
+        k = sum(self._exps) + span.shift - self._shift
         if k <= 0:
             return True
         mod = self.ctx.p ** k
         rows = self._adjugate()
-        return all(sum(map(mul, row, col)) % mod == 0 for col in cols for row in rows)
+        return all(sum(map(mul, row, col)) % mod == 0 for col in span.cols for row in rows)
 
     def contains_vector(self, vec) -> bool:
         d, ints = _cleared(vec)
         if len(ints) != self.n:
             raise ValueError(f"vector of length {len(ints)} in a lattice of rank {self.n}")
-        return self._covers([ints], sum(self._exps) - self._shift + vp_int(d, self.ctx.p))
+        return self._covers(_Span(vp_int(d, self.ctx.p), [ints]))
 
     def __contains__(self, vec) -> bool:
         return self.contains_vector(vec)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         self._check(other)
-        return self._covers(other._cols, sum(self._exps) + other._shift - self._shift)
+        return self._covers(other._span())
 
     def dual(self) -> "Lattice":
         """Dual lattice under the standard pairing."""
@@ -584,15 +595,16 @@ def _image_span(p: int, a: QMatrix, span: _Span) -> _Span:
     columns to N col, and the power of p in d joins the shift."""
     d, m = a._int_view()
     shift, cols = span
+    if a.n != len(cols[0]):
+        raise ValueError("dimension mismatch")
     return _Span(shift + vp_int(d, p), [[sum(map(mul, row, col)) for row in m] for col in cols])
 
 
 def _image(a: QMatrix, lat: Lattice, span: _Span) -> Lattice:
     """The image under a of span, a lattice in L's space, canonicalised."""
-    if a.n != lat.n:
-        raise ValueError("dimension mismatch")
+    span = _image_span(lat.ctx.p, a, span)
     try:
-        return Lattice(lat.ctx, _image_span(lat.ctx.p, a, span))
+        return Lattice(lat.ctx, span)
     except ValueError as exc:
         raise Singular("cannot apply a singular matrix to a lattice") from exc
 
@@ -600,6 +612,11 @@ def _image(a: QMatrix, lat: Lattice, span: _Span) -> Lattice:
 def apply(a: QMatrix, lat: Lattice) -> Lattice:
     """Image lattice a(L), canonicalized; it has full rank iff a is invertible."""
     return _image(a, lat, lat._span())
+
+
+def maps_into(a: QMatrix, lat: Lattice) -> bool:
+    """Whether a(L) <= L, off L's integer adjugate (no Hermite form)."""
+    return lat._covers(_image_span(lat.ctx.p, a, lat._span()))
 
 
 def dual_image(a: QMatrix, lat: Lattice) -> Lattice:
@@ -612,8 +629,6 @@ def grow(lat: Lattice, mats) -> Lattice:
     """L + h_1(L) + ... + h_k(L) for square matrices h_i, in one Hermite
     form on the joined spans: the images are never canonicalised. It has
     full rank whatever the h_i, since it contains L."""
-    if any(h.n != lat.n for h in mats):
-        raise ValueError("dimension mismatch")
     p, span = lat.ctx.p, lat._span()
     return Lattice(lat.ctx, _joined(p, span, *(_image_span(p, h, span) for h in mats)))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, apply, char_poly, dual_image, grow
+from .linalg import Lattice, QMatrix, char_poly, dual_image, grow, maps_into
 from .qpcore import PContext, vp_frac
 
 
@@ -110,8 +110,9 @@ def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
     alpha is type R: v_p(det) = 0, and alpha is p-integral or s(alpha) = 1.
     Then the char poly is p-integral with a unit constant term, so alpha^-1
     and alpha^n lie in the Z_p-span of 1, ..., alpha^(n-1) (Cayley-Hamilton),
-    and L_{k+1} = L_k + alpha(L_k) from Z_p^n stops within n growth rounds at
-    the saturation sum_{k<n} alpha^k Z_p^n. No cap applies; nothing is inverted."""
+    and L_{k+1} = L_k + alpha(L_k) from Z_p^n is sum_{k<n} alpha^k Z_p^n by
+    k = n - 1. Each L_k is checked before it grows: alpha(L) <= L, with the
+    unit det, is alpha(L) = L. No cap applies; nothing is inverted."""
     det = a.det()
     if det == 0:
         raise Singular("matrix is singular")
@@ -119,8 +120,7 @@ def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
         return None
     lat = Lattice.standard(ctx, a.n)
     for _ in range(a.n):
-        grown = grow(lat, [a])
-        if grown == lat and apply(a, lat) == lat:  # exact re-check; det is a unit
+        if maps_into(a, lat):
             return lat
-        lat = grown
+        lat = grow(lat, [a])  # past L_(n-1) only on the way to the raise
     raise InternalInvariantViolation(f"the chain found no invariant lattice in {a.n} rounds")

@@ -11,7 +11,8 @@ from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness
     _complete_basis, _type_r_view, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
     type_r_witness_search
 from ppm.errors import NotTypeR, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, grow, rref
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, eliminate, \
+    grow, rref
 from ppm.qpcore import PContext, vp
 from ppm.scale import invariant_lattice, scale_newton
 
@@ -132,8 +133,8 @@ def test_a_saturation_past_its_round_cap_is_inconclusive(eight_cycle):
 
 
 def test_one_canonicalisation_per_saturation_round(eight_cycle, monkeypatch):
-    # one Hermite form per round for the grown lattice, then one per
-    # generator and inverse to re-verify the fixpoint
+    # one Hermite form per round that grows the lattice; the fixpoint is
+    # certified by containment, with none
     calls = []
     hermite = ppm.linalg._hermite
 
@@ -142,12 +143,12 @@ def test_one_canonicalisation_per_saturation_round(eight_cycle, monkeypatch):
         return hermite(p, span)
 
     monkeypatch.setattr(ppm.linalg, "_hermite", counting)
-    for gens, expected in (([eight_cycle], 7), ([U1, U_THIRD], 6)):
+    for gens, expected in (([eight_cycle], 4), ([U1, U_THIRD], 1)):
         group = GeneratorSet.of(CTX3, gens)
         calls.clear()
         res = bounded_group(group)
         assert res.verdict == BOUNDED
-        assert len(calls) == res.rounds + 2 * len(gens) == expected
+        assert len(calls) == res.rounds - 1 == expected
 
 
 @pytest.mark.parametrize("c", [10, 20, 40])
@@ -261,30 +262,42 @@ def test_ku_flag_saturates_once(monkeypatch):
     # the fixed-space tower is linear algebra; only the last quotient is saturated
     heis_a = QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     heis_b = QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])
-    calls = []
+    calls, hermites = [], []
+    hermite = ppm.linalg._hermite
+
+    def counting_hermite(p, span):
+        hermites.append(p)
+        return hermite(p, span)
 
     def counting(group, *args, **kwargs):
-        calls.append(group.n)
-        return bounded_group(group, *args, **kwargs)
+        before = len(hermites)
+        res = bounded_group(group, *args, **kwargs)
+        calls.append((group.n, res.verdict, res.rounds, len(hermites) - before))
+        return res
 
+    monkeypatch.setattr(ppm.linalg, "_hermite", counting_hermite)
     monkeypatch.setattr(ppm.dynamics, "bounded_group", counting)
     flag = ku_flag(GeneratorSet.of(CTX3, [heis_a, heis_b]))
     assert flag.dims == (0, 1, 2, 3)
-    assert calls == [1]
+    assert [n for n, *_ in calls] == [1]
 
     # one elimination per climbing step, and one more that finds the last
-    # quotient fixed: the basis completion reads its pivots off the fixed space
+    # quotient fixed: the basis completion reads its pivots off the fixed space.
+    # That quotient is the identity, so its saturation ends BOUNDED at round 1
+    # by containment, and neither it nor the flag's re-check forms a Hermite form
     eliminations = []
 
-    def counting_rref(rows):
-        eliminations.append(len(rows))
-        return rref(rows)
+    def counting_eliminate(m, width, *args):
+        eliminations.append(len(m))
+        return eliminate(m, width, *args)
 
-    monkeypatch.setattr(ppm.dynamics, "rref", counting_rref)
+    monkeypatch.setattr(ppm.dynamics, "eliminate", counting_eliminate)
     calls.clear()
+    hermites.clear()
     flag = ku_flag(GeneratorSet.of(CTX3, [QMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])]))
     assert flag.dims == (0, 1, 2, 3)
-    assert calls == [1] and len(eliminations) == 3
+    assert calls == [(1, BOUNDED, 1, 0)] and len(eliminations) == 3
+    assert hermites == []
 
 
 def _record_saturations_and_searches(monkeypatch):
@@ -374,6 +387,49 @@ def test_common_fixed_space():
     assert len(basis) == 1
     assert basis[0][1] == 0
     assert common_fixed_space(GeneratorSet.of(CTX3, [ROT])) == []
+
+
+def reference_fixed_space(group):
+    """The Fraction reference: rref of the stacked g - 1 over Q, one vector
+    per free column c, 1 at c and minus column c of the reduced rows at the
+    pivots."""
+    stacked = []
+    ident = QMatrix.identity(group.n)
+    for g in group.gens:
+        stacked.extend((g - ident).rows)
+    m, pivots, _ = rref(stacked)
+    basis = []
+    for c in range(group.n):
+        if c in pivots:
+            continue
+        vec = [F(0)] * group.n
+        vec[c] = F(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][c]
+        basis.append(tuple(vec))
+    return basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 5), count=st.integers(1, 3),
+       rank=st.integers(0, 5), data=st.data())
+def test_law_the_integer_fixed_space_is_the_fraction_reference(p, n, count, rank, data):
+    # g = 1 + U_g V^T with V shared, so the stack of g - 1 has rank at most
+    # min(rank, n) and the fixed space contains the kernel of V^T; entries
+    # carry p-power denominators (and 7)
+    entry = st.sampled_from([0, 0, 1, -1, 2, F(1, p), F(-2, p * p), F(3, p ** 3), F(1, 7)])
+
+    def block(cols):
+        return [[data.draw(entry) for _ in range(cols)] for _ in range(n)]
+
+    r = min(rank, n)
+    v = block(r)
+    gens = [QMatrix.identity(n) + QMatrix([[sum(u[i][k] * v[j][k] for k in range(r))
+                                            for j in range(n)] for i in range(n)])
+            for u in (block(r) for _ in range(count))]
+    assume(all(g.det() != 0 for g in gens))
+    group = GeneratorSet.of(PContext(p), gens)
+    assert common_fixed_space(group) == reference_fixed_space(group)
 
 
 def test_flag_certificates_on_random_integral_groups():

@@ -2,6 +2,8 @@
 Smith form, and no module imports another module's private (underscore)
 names."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import ppm
@@ -61,3 +63,35 @@ def test_only_linalg_names_the_smith_form():
              or (isinstance(node, ast.Attribute) and node.attr in smith)
              or (isinstance(node, ast.alias) and node.name in smith)]
     assert found == []
+
+
+def test_dynamics_and_scale_recheck_no_certificate_by_a_hermite_form():
+    # invariance is certified by containment (linalg.maps_into), and the
+    # fixed spaces are eliminated on integer rows: neither module imports
+    # apply, which canonicalises the image, or rref, the Fraction interface
+    found = [(module, alias.name) for module, tree in _trees() if module in ("dynamics", "scale")
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name in ("apply", "rref")]
+    assert found == []
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # a traced perfbench run patches each of these names and fails on a
+    # missing one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    names = [(layer, attr) for layer, attrs in layertrace.SPANS.items() for attr in attrs]
+    names += list(layertrace.COUNTERS.values())
+    missing = []
+    for layer, attr in names:
+        holder = vars(importlib.import_module(f"ppm.{layer}"))
+        if "." in attr:  # a method, patched on its class
+            cls, method = attr.split(".")
+            holder = vars(holder[cls]) if cls in holder else {}
+            attr = method
+        if attr not in holder:
+            missing.append((layer, attr))
+    assert missing == []
+    assert {("dynamics", "common_fixed_space"), ("linalg", "apply")} <= set(names)

@@ -10,7 +10,7 @@ import ppm.linalg
 from ppm.errors import NotNested, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, dual_image, elementary_divisors, \
     elementary_divisors_with_directions, lattice_index, lattice_intersect, lattice_sum, \
-    newton_polygon
+    maps_into, newton_polygon
 from ppm.qpcore import PContext, vp
 from ppm.scale import scale_tidy
 
@@ -399,6 +399,36 @@ def test_law_dual_image_is_the_image_of_the_dual(data):
     assert a.transpose() == QMatrix(list(zip(*a.rows)))
     with pytest.raises(Singular):
         dual_image(QMatrix([[0] * n for _ in range(n)]), lat)
+
+
+@LAWS
+@given(st.data())
+def test_law_maps_into_is_containment_of_the_image(data):
+    """maps_into(a, L) is L >= a(L), and with v_p(det a) = 0 it is a(L) = L.
+    Half the maps are B u B^-1 for L's basis B and u = lower * diagonal *
+    upper, whose entries may carry p in their denominators, so a(L) lies
+    in L (u integral) about as often as not; the rest are random."""
+    ctx, n, (lat,) = data.draw(lattices(1))
+    p = ctx.p
+    if data.draw(st.booleans()):
+        a = _invertible(data.draw, p, n)
+    else:
+        entry = st.sampled_from([0, 0, 1, -1, p, F(1, p), F(2, 7)])
+        unit = st.sampled_from([1, -1, 7, p, F(1, p)])
+
+        def triangular(lower):
+            return QMatrix([[data.draw(entry) if (j < i if lower else j > i) else int(i == j)
+                             for j in range(n)] for i in range(n)])
+
+        u = triangular(True) * QMatrix.diagonal([data.draw(unit) for _ in range(n)]) \
+            * triangular(False)
+        a = lat.basis * u * lat.basis.inverse()
+    image = apply(a, lat)
+    assert maps_into(a, lat) == lat.contains_lattice(image)
+    if vp(a.det(), ctx) == 0:
+        assert maps_into(a, lat) == (image == lat)
+    with pytest.raises(ValueError):
+        maps_into(QMatrix.identity(n + 1), lat)
 
 
 # -- the Fraction references the integer core must reproduce -------------------

@@ -138,22 +138,27 @@ def test_at_most_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
 
 
 def test_invariant_lattice_inverts_nothing_and_grows_at_most_n_rounds(monkeypatch):
-    # the conjugated Jordan block has 1/3 above its diagonal: its chain
-    # grows n - 1 times and stops at the n-th grow, the bound exactly
+    # each lattice of the chain is checked by containment before it grows,
+    # so a chain grows at most n - 1 times and forms no other Hermite form;
+    # the conjugated Jordan block has 1/3 above its diagonal and takes the
+    # n - 1 grows, the bound exactly
     jordan = QMatrix([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
     c = QMatrix.diagonal([27, 9, 3, 1]) * QMatrix([[1, 2, 0, -1], [0, 1, 1, 0], [0, 0, 1, 2],
                                                    [0, 0, 0, 1]])
     cases = [QMatrix([[1, F(1, 3)], [0, 1]]), c.inverse() * jordan * c]
-    inverses, grows = [], []
-    real_inverse, real_grow = QMatrix.inverse, ppm.scale.grow
+    inverses, grows, hermites = [], [], []
+    real_inverse, real_grow, real_hermite = QMatrix.inverse, ppm.scale.grow, ppm.linalg._hermite
     monkeypatch.setattr(QMatrix, "inverse", lambda m: inverses.append(m) or real_inverse(m))
     monkeypatch.setattr(ppm.scale, "grow",
                         lambda lat, mats: grows.append(lat) or real_grow(lat, mats))
-    for a in cases:
+    monkeypatch.setattr(ppm.linalg, "_hermite",
+                        lambda p, span: hermites.append(p) or real_hermite(p, span))
+    for a, expected in zip(cases, (1, 3)):
         grows.clear()
+        hermites.clear()
         lat = invariant_lattice(a, CTX3)
+        assert inverses == [] and len(grows) == len(hermites) == expected <= a.n - 1
         assert lat is not None and apply(a, lat) == lat
-        assert inverses == [] and 1 < len(grows) <= a.n
 
 
 small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(3), F(1, 3), F(-2, 9), F(5, 2)])
