@@ -176,7 +176,6 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
     for i, g in enumerate(group.gens):
         if not _type_r_view(g, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
-    gens_and_invs = group.with_inverses()
     lat = Lattice.standard(ctx, group.n)
     for round_no in range(1, rounds_cap + 1):
         if all(maps_into(g, lat) for g in group.gens):
@@ -186,7 +185,7 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
             if witness is not None:
                 return BoundednessResult(UNBOUNDED, rounds=round_no, witness=witness)
         if round_no < rounds_cap:
-            lat = grow(lat, gens_and_invs)
+            lat = grow(lat, group.with_inverses())  # inverted at the first grow
     return BoundednessResult(INCONCLUSIVE, rounds=rounds_cap, caps={"rounds": rounds_cap})
 
 

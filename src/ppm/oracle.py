@@ -2,8 +2,9 @@
 
 Everything here is brute force by design: these tables validate the
 coprimality criteria and the root machinery on honest finite quotients.
-A table is the Cayley graph of its generators on row-code tuples; powers are
-walked by applying an element's word as the generators' permutations.
+A table is the Cayley graph of its generators, searched on tuples of row
+indices once the orbit of the standard rows has given each generator its row
+table; powers are walked by applying an element's word as permutations.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from . import modmat
 from .errors import CapExceeded
@@ -43,63 +44,68 @@ def _digits(code: int, count: int, mod: int) -> tuple:
     return out
 
 
-class _RowMap(dict):
-    """row code -> code of row·g for one generator g, filled on first
-    use: a search meets few of the mod^n rows."""
-
-    def __init__(self, gen, mod: int):
-        super().__init__()
-        self.cols, self.mod = tuple(zip(*gen)), mod
-
-    def __missing__(self, r: int) -> int:
-        row, y = _digits(r, len(self.cols), self.mod), 0
-        for c in self.cols:
-            y = y * self.mod + sum(map(mul, row, c)) % self.mod
-        self[r] = y
-        return y
+def _search(points: list, images, count: int, cap: int):
+    """Breadth-first search by `count` generators, images(x) listing each x·g, that
+    grows the points list from its start points to at most `cap` points per start
+    point (else CapExceeded). Returns (parent, via, perms): x_i = x_parent[i] ·
+    gens[via[i]] past the start, perms[g][i] the position of x_i · gens[g]."""
+    pos = {x: i for i, x in enumerate(points)}
+    parent, via = array("i", [-1]) * len(points), array("i", [-1]) * len(points)
+    perms, limit = [[] for _ in range(count)], len(points) * cap
+    for i, x in enumerate(points):  # points grows as the search goes
+        for g, y in enumerate(images(x)):
+            j = pos.get(y)
+            if j is None:
+                if len(points) >= limit:
+                    raise CapExceeded(f"group closure exceeded cap {cap}")
+                j = pos[y] = len(points)
+                points.append(y)
+                parent.append(i)
+                via.append(g)
+            perms[g].append(j)
+    return parent, via, perms
 
 
 def _cayley(gens, n: int, mod: int, cap: int):
-    """Breadth-first search from 1 by right multiplication, to at most `cap` keys.
-    Returns (keys, pos, parent, via, perms): keys in search order and by position,
-    x_i = x_parent[i] · gens[via[i]] for i > 0, perms[g][i] the position of x_i · gens[g]."""
-    maps = [(g, _RowMap(gen, mod).__getitem__, array("i")) for g, gen in enumerate(gens)]
-    keys = [_key(modmat.identity_mat(n), mod)]
-    pos = {keys[0]: 0}
-    parent, via = array("i", [-1]), array("i", [-1])
-    for i, rows in enumerate(keys):  # keys grows as the search goes
-        for g, row_g, perm in maps:
-            y = tuple(map(row_g, rows))
-            j = pos.get(y)
-            if j is None:
-                if len(keys) >= cap:
-                    raise CapExceeded(f"group closure exceeded cap {cap}")
-                j = pos[y] = len(keys)
-                keys.append(y)
-                parent.append(i)
-                via.append(g)
-            perm.append(j)
-    return keys, pos, parent, via, [m[2] for m in maps]
+    """The Cayley graph of gens by right multiplication, searched from 1 to at most
+    `cap` elements. First the rows: the orbit of e_1, ..., e_n under v -> v·g gives
+    each generator g its row table (row index -> index of row·g); an element has n
+    rows, so more than n·cap rows prove the group past cap. Then the elements, each
+    held as the tuple of its row indices: x·g is itemgetter(*x)(table_g). Returns
+    (keys, parent, via, perms) as ``_search`` does, the keys as row codes."""
+    cols = [tuple(zip(*gen)) for gen in gens]
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    tree = _search(rows, lambda v: [tuple([sum(map(mul, v, c)) % mod for c in cs])
+                                    for cs in cols], len(gens), cap)
+    codes = [_code((row,), mod) for row in rows]
+    if n == 1:  # the rows are the elements (and itemgetter(r) returns no tuple)
+        return [(c,) for c in codes], *tree
+    keys, tables = [tuple(range(n))], tree[2]
+    tree = _search(keys, lambda x: map(itemgetter(*x), tables), len(gens), cap)
+    for i, x in enumerate(keys):  # the search's dict of keys is gone: replace in place
+        keys[i] = itemgetter(*x)(codes)
+    return keys, *tree
 
 
 class FiniteGroupTable:
     """The subgroup of GL(n, Z/p^m) generated by the given matrices.
 
     The table is its keys (``_key``): sorted when enumerated, as the flattened
-    row-major entries sort, and in the order given when hand-built (distinct n x n
-    matrices over [0, p^m), as the generators are, else ValueError). Elements
+    row-major entries sort, and in the order given when hand-built (one or more
+    distinct n x n matrices over [0, p^m), generators too, else ValueError). Elements
     are decoded from the keys when first read, the index for membership built.
     Closure under products holds structurally (a search to a fixpoint).
     Closure under inverses is checked by the cyclic walks, which also give
-    every power of every element (``_cycles``); the graph is not kept.
+    every power of every element (``_cycles``); they are kept, the graph is not.
     """
 
     def __init__(self, ctx: PContext, level: int, n: int, elements, generators):
         mod = ctx.p ** level
-        if any(len(m) != n or any(len(row) != n or not all(
+        if not elements or any(len(m) != n or any(len(row) != n or not all(
                 type(x) is int and 0 <= x < mod for x in row) for row in m)
                for m in (*elements, *generators)):
-            raise ValueError(f"elements and generators must be {n} x {n} over [0, {mod})")
+            raise ValueError(f"elements (at least one) and generators must be {n} x {n} "
+                             f"over [0, {mod})")
         self.ctx, self.level, self.n, self.generators = ctx, level, n, generators
         self.elements = elements  # as given: it shadows the decoding property
         self._keys = tuple(_key(m, mod) for m in elements)
@@ -130,23 +136,26 @@ class FiniteGroupTable:
         return Supernatural.from_int(self.order)
 
     def _cycles(self, graph=None):
-        """The cyclic walks, built once from the Cayley graph (searched afresh if
-        not given: it must reach exactly the keys). From each y, in table
+        """The cyclic walks, built once from the Cayley graph (found, parent, via,
+        perms), found[t] the search position of the table's element t (searched
+        afresh if not given: it must reach exactly the keys). From each y, in table
         order, that no walk passed yet, walk 1, y, y^2, ... back to 1, a step
-        applying y's word as permutations. Returns (walk, step, start, flat):
-        element i is y^step[i] for the walk w = walk[i] of y, whose powers
-        1, y, ..., y^(d-1) are at flat[start[w]:start[w + 1]]."""
+        applying y's word, read once off the search tree, as permutations. Returns
+        (walk, step, start, flat): element i is y^step[i] for the walk w = walk[i]
+        of y, whose powers 1, y, ..., y^(d-1) are at flat[start[w]:start[w + 1]]."""
         if hasattr(self, "_walks"):
             return self._walks
         if graph is None:
             try:
-                graph = _cayley(self.generators, self.n, self.ctx.p ** self.level, self.order)
+                keys, *tree = _cayley(self.generators, self.n, self.ctx.p ** self.level,
+                                      self.order)
             except CapExceeded:
-                graph = ((), {})  # the generators reach past the table
-            if len(graph[0]) < self.order or not all(c in graph[1] for c in self._keys):
+                keys = ()  # the generators reach past the table
+            pos = {key: i for i, key in enumerate(keys)}
+            if len(pos) < self.order or not all(c in pos for c in self._keys):
                 raise AssertionError("the generators do not generate exactly the table")
-        _, pos, parent, via, perms = graph
-        found = array("i", map(pos.__getitem__, self._keys))  # table -> search position
+            graph = (list(map(pos.__getitem__, self._keys)), *tree)
+        found, parent, via, perms = graph
         rank = array("i", [0]) * self.order  # search -> table position
         for i, x in enumerate(found):
             rank[x] = i
@@ -159,7 +168,9 @@ class FiniteGroupTable:
                 continue
             word, b = [], x
             while b:  # x_b = x_parent[b] · gens[via[b]]
-                word, b = [perms[via[b]]] + word, parent[b]
+                word.append(perms[via[b]])
+                b = parent[b]
+            word.reverse()
             start.append(len(flat))
             flat.append(one)
             for j in range(1, size + 1):
@@ -181,11 +192,13 @@ class FiniteGroupTable:
 
 def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> FiniteGroupTable:
     """The subgroup generated by gens (in a finite group, g^-1 = g^(ord g - 1)),
-    by ``_cayley``'s search, with its keys sorted. Its walks are built from the
-    graph, which is then dropped; they check closure under inverses. The order
-    must divide |GL(n, Z/p^m)|."""
+    by ``_cayley``'s search to at most cap >= 1 elements, its keys sorted once. Its
+    walks are built from the graph, which is then dropped; they check closure under
+    inverses. The order must divide |GL(n, Z/p^m)|."""
     if level < 1:
         raise ValueError("level must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     if not gens:
         raise ValueError("need at least one generator")
     p, mod, n = ctx.p, ctx.p ** level, len(gens[0])
@@ -195,10 +208,13 @@ def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> Fi
     gens = tuple(modmat.reduce_mat(g, mod) for g in gens)
     if not all(modmat.invertible_mod(g, p) for g in gens):
         raise ValueError("generator is singular mod p")
-    graph = _cayley(gens, n, mod, cap)
+    keys, parent, via, perms = _cayley(gens, n, mod, cap)
+    # table -> search position: perms[0] lists each position once, sharing its ints
+    found = sorted(perms[0], key=keys.__getitem__)
     table = FiniteGroupTable.__new__(FiniteGroupTable)  # its elements are decoded when read
-    vars(table).update(ctx=ctx, level=level, n=n, generators=gens, _keys=tuple(sorted(graph[0])))
-    _verify_closure(table, graph)
+    vars(table).update(ctx=ctx, level=level, n=n, generators=gens,
+                       _keys=tuple(map(keys.__getitem__, found)))
+    _verify_closure(table, (found, parent, via, perms))
     return table
 
 
@@ -282,9 +298,8 @@ def _primitive_root(p: int) -> int:
 def unit_group_generators(p: int, m: int):
     """Generators of (Z/p^m)^* as 1x1 matrices."""
     if p == 2:
-        gens = [((3,),), ((2 ** m - 1,),)] if m >= 3 else [((max(2 ** m - 1, 1),),)]
-        return gens
-    return [((_primitive_root(p),),), ((1 + p if m > 1 else 1,),)]
+        return [((3,),), ((2 ** m - 1,),)] if m >= 3 else [((max(2 ** m - 1, 1),),)]
+    return [((_primitive_root(p),),)] + ([((1 + p,),)] if m > 1 else [])
 
 
 def is_subgroup(small: FiniteGroupTable, big: FiniteGroupTable) -> bool:

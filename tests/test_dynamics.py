@@ -706,15 +706,16 @@ def test_ku_flag_answers_as_if_it_searched_first_on_the_fallback_paths(gens):
     assert _flag_outcome(ku_flag, group) == _flag_outcome(searching_first, group)
 
 
-@pytest.mark.parametrize("gens, dims", [
-    ([ROT], (0, 2)),
-    ("eight_cycle", (0, 1, 8)),
+@pytest.mark.parametrize("gens, dims, grown", [
+    ([ROT], (0, 2), 0),
+    ("eight_cycle", (0, 1, 8), 1),
     ([QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-      QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])], (0, 1, 2, 3)),
+      QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])], (0, 1, 2, 3), 0),
 ], ids=["rotation", "eight-cycle", "heisenberg-pair"])
-def test_ku_flag_inverts_once_per_climbing_step(gens, dims, request, monkeypatch):
+def test_ku_flag_inverts_once_per_climbing_step(gens, dims, grown, request, monkeypatch):
     # one inverse per step carries the basis and the conjugates; the last
-    # quotient's saturation inverts each of its generators once
+    # quotient's saturation inverts its generators once, and only if it grows:
+    # the rotation and the heisenberg pair's identity quotient fix Z_p^n
     gens = [request.getfixturevalue(gens)] if isinstance(gens, str) else gens
     group = GeneratorSet.of(CTX3, gens)
     calls = []
@@ -727,4 +728,24 @@ def test_ku_flag_inverts_once_per_climbing_step(gens, dims, request, monkeypatch
     monkeypatch.setattr(QMatrix, "inverse", counting)
     flag = ku_flag(group)
     assert flag.dims == dims
-    assert len(calls) == (len(dims) - 2) + len(gens)
+    assert len(calls) == (len(dims) - 2) + grown * len(gens)
+
+
+@pytest.mark.parametrize("gens, rounds, inverses", [
+    ([ROT], 1, 0),
+    ([QMatrix.identity(1)], 1, 0),
+    ([U_THIRD], 2, 1),
+], ids=["rotation", "identity-quotient", "shear-by-a-third"])
+def test_a_saturation_inverts_its_generators_only_when_it_grows(gens, rounds, inverses,
+                                                                 monkeypatch):
+    # the inverses were taken before round 1, though only a grow reads them
+    calls = []
+    inverse = QMatrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(QMatrix, "inverse", counting)
+    res = bounded_group(GeneratorSet.of(CTX3, gens))
+    assert (res.verdict, res.rounds, len(calls)) == (BOUNDED, rounds, inverses)

@@ -119,6 +119,37 @@ def test_reduction_compatibility():
     assert reduced == set(table1.elements)
 
 
+def test_a_cap_below_one_is_rejected():
+    # c < 1 raised CapExceeded, as if the group had been searched past it
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            enumerate_group([SHEAR], CTX5, 1, cap=cap)
+    assert enumerate_group([modmat.identity_mat(2)], CTX5, 1, cap=1).order == 1
+
+
+def test_the_row_orbit_proves_a_huge_group_past_the_cap(monkeypatch):
+    # GL_2(Z/101^2) has more than 200 = n·cap rows in the orbit of e_1 and
+    # e_2, so the row search raises before any element is searched
+    def no_element_search(*indices):
+        raise AssertionError("the element search ran")
+
+    monkeypatch.setattr("ppm.oracle.itemgetter", no_element_search)
+    with pytest.raises(CapExceeded):
+        enumerate_group(full_gl_generators(2, 101, 2), PContext(101), 2, cap=100)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_no_unit_group_generator_is_the_identity(p, m):
+    # (Z/p)^* listed ((1,),) as a second generator, a self-loop in every search
+    gens = unit_group_generators(p, m)
+    assert ((1,),) not in gens
+    table = enumerate_group(gens, PContext(p), m)
+    with_identity = enumerate_group(gens + [((1,),)], PContext(p), m)
+    assert table.order == (p - 1) * p ** (m - 1) == with_identity.order
+    assert [list(a) for a in table._cycles()] == [list(a) for a in with_identity._cycles()]
+
+
 def test_table_membership():
     table = enumerate_group([((2,),)], CTX3, 2)
     assert ((4,),) in table
@@ -128,16 +159,18 @@ def test_table_membership():
 
 @st.composite
 def small_tables(draw):
-    """Tables of random invertible matrices mod p^m, at most 2x2: two
-    generators when their table has at most 1,000 elements, else the
-    cyclic table of the first."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    n, m = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]))
+    """Tables of random invertible matrices mod p^m, at most 2x2, or 3x3 mod 2
+    or 3: up to three generators, one possibly repeated, when their table has
+    at most 1,000 elements, else the cyclic table of the first."""
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]))
+    p = draw(st.sampled_from([2, 3] if n == 3 else [2, 3, 5]))
     mod = p ** m
     mats = st.lists(st.integers(0, mod - 1), min_size=n * n, max_size=n * n).map(
         lambda e: tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n)))
     invertible = mats.filter(lambda g: modmat.invertible_mod(g, p))
-    gens = draw(st.lists(invertible, min_size=1, max_size=2))
+    distinct = draw(st.lists(invertible, min_size=1, max_size=3))
+    gens = [distinct[i] for i in draw(
+        st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=3))]
     try:
         return enumerate_group(gens, PContext(p), m, cap=1_000)
     except CapExceeded:
@@ -323,6 +356,7 @@ def test_a_malformed_hand_built_table_is_rejected():
         ((one, ((1, 0), (0, 1))), (two,)),  # not 1 x 1
         ((one, two), (((2, 0),),)),
         ((one, two), (((F(1, 2),),),)),
+        ((), (two,)),  # no element: the walks failed with an IndexError
     ]
     for elements, generators in cases:
         with pytest.raises(ValueError):
