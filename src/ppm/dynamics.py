@@ -24,8 +24,9 @@ from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, char_poly, eliminate, grow, maps_into
+from .linalg import Lattice, QMatrix, eliminate, grow, maps_into
 from .qpcore import PContext, vp_frac
+from .scale import type_r
 
 _DEFAULT_WORD_LEN = 4
 _DEFAULT_ROUNDS = 64
@@ -67,24 +68,12 @@ class GeneratorSet:
 
 
 def type_r_matrix(a: QMatrix, ctx: PContext) -> bool:
-    """True iff every eigenvalue of a has p-adic absolute value 1,
-    i.e. the Newton polygon of the characteristic polynomial is flat at
-    height 0: every coefficient is p-integral and the constant term,
-    which is +-det(a), is a p-unit."""
-    poly = char_poly(a)
-    if poly[-1] == 0:
+    """True iff every eigenvalue of a has p-adic absolute value 1, by
+    scale.type_r on a's determinant; Singular for a singular a."""
+    det = a.det()
+    if det == 0:
         raise Singular("type R is only defined for invertible matrices")
-    p = ctx.p
-    return poly[-1].numerator % p != 0 and all(c.denominator % p != 0 for c in poly)
-
-
-def _type_r_view(a: QMatrix, v: int, ctx: PContext) -> bool:
-    """type_r_matrix(a, ctx) for a with v_p(det a) = v: a nonzero v makes
-    +-det, the constant term, a non-unit, and a p-integral matrix with
-    v = 0 is type R; only the rest need the char poly."""
-    if v:
-        return False
-    return a.denominator % ctx.p != 0 or type_r_matrix(a, ctx)
+    return type_r(a, vp_frac(det, ctx.p), ctx)
 
 
 @dataclass(frozen=True)
@@ -106,7 +95,7 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
     in breadth-first order, or None when every sampled word is type R.
 
     Words are QMatrix products, deduplicated on their values, and decided
-    by _type_r_view, v_p(det) being the sum of the letters' valuations.
+    by scale.type_r, v_p(det) being the sum of the letters' valuations.
 
     This samples a necessary condition: words beyond the bound are not
     inspected, so None never certifies that the whole group is type R.
@@ -131,7 +120,7 @@ def type_r_witness_search(group: GeneratorSet, word_len: int = _DEFAULT_WORD_LEN
                     continue
                 seen.add(m2)
                 w2, v2 = word + ((i, sign),), val + v
-                if not _type_r_view(m2, v2, ctx):
+                if not type_r(m2, v2, ctx):
                     return Witness(w2, m2)
                 nxt.append((m2, w2, v2))
         frontier = nxt
@@ -174,7 +163,7 @@ def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> Bou
         raise ValueError("rounds_cap must be non-negative")
     ctx = group.ctx
     for i, g in enumerate(group.gens):
-        if not _type_r_view(g, vp_frac(group.dets[i], ctx.p), ctx):
+        if not type_r(g, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
     lat = Lattice.standard(ctx, group.n)
     for round_no in range(1, rounds_cap + 1):

@@ -5,18 +5,24 @@ kernel, ``eliminate``, on integer rows: ``rref`` runs it on rational rows
 and returns the reduced row echelon form, the pivot columns and the
 determinant, all exact; determinants, inverses and nullspaces
 (``dynamics.common_fixed_space``) run it on QMatrix integer views. The
-reduced form is unique, and so are their results.
+reduced form is unique, and so are their results. Characteristic
+polynomials run on the integer view too (``_berkowitz``), and
+``char_poly_valuations`` reads their coefficients' valuations with no
+Fraction built.
 
 A Lattice is a full-rank Z_p-lattice in Q_p^n, i.e. a compact open
 subgroup of the additive group, held as p^-s times an integer Hermite
 basis, canonical so that equality is a structural comparison. Over Z_(p)
-the Hermite form (``_hermite``) and the Smith form (``_local_snf``) both
-run in integers and clear a row or column y against the pivot x = u p^e
-by one step, y <- (u y - (y_t / p^e) x) / g with g = gcd(u, y_t / p^e);
+the Hermite form (``_hermite``: ``_triangular``, then ``_reduce``) and the
+Smith form (``_local_snf``) both run in integers and clear a row or
+column y against the pivot x = u p^e by one step,
+y <- (u y - (y_t / p^e) x) / g with g = gcd(u, y_t / p^e);
 the Smith form records its row operations in an identity block, from
 which ``elementary_divisors_with_directions`` reads its directions.
 ``grow`` sums a lattice with its images under several matrices in one
-Hermite form; saturation rounds and tidying steps are built on it.
+Hermite form; saturation rounds are built on it. ``sum_chain`` runs a
+tidying run's chain L + a(L), reading each v_p(det) off the triangular
+form and reducing a sum only when the chain goes on.
 ``maps_into`` tests a(L) <= L off L's integer adjugate, with no Hermite
 form; as [L : a(L)] = p^v_p(det a), with a unit det that is a(L) = L.
 ``dual_image`` maps a lattice's dual, read off its integer adjugate, in
@@ -265,13 +271,11 @@ class QMatrix:
         return QMatrix._from_ints(aug[0][0], [row[n:] for row in aug])
 
 
-def char_poly(a: QMatrix):
-    """Monic characteristic polynomial of a, coefficients leading-first.
-
-    Berkowitz's division-free recursion on leading principal minors, run
-    on the integer view a = N / d: the coefficient of x^(n-i) is that of
-    N divided by d^i.
-    """
+def _berkowitz(a: QMatrix):
+    """(d, C): a = N / d, and C the integer coefficients of N's
+    characteristic polynomial, leading-first, by Berkowitz's division-free
+    recursion on leading principal minors. a's coefficient of x^(n-i) is
+    C_i / d^i."""
     d, m = a._int_view()
     poly = [1]  # char poly of the empty matrix
     for k in range(1, a.n + 1):
@@ -286,7 +290,24 @@ def char_poly(a: QMatrix):
                 cur = [sum(map(mul, m_row, cur)) for m_row in minor]
         poly = [sum(toep[i - j] * poly[j] for j in range(max(0, i - k), min(i, k - 1) + 1))
                 for i in range(k + 1)]
-    return tuple(Fraction(c, d ** i) for i, c in enumerate(poly))
+    return d, poly
+
+
+def char_poly(a: QMatrix):
+    """Monic characteristic polynomial of a, coefficients leading-first, as
+    Fractions C_i / d^i over _berkowitz's integer coefficients. The solvers
+    read only valuations, through char_poly_valuations."""
+    d, coeffs = _berkowitz(a)
+    return tuple(Fraction(c, d ** i) for i, c in enumerate(coeffs))
+
+
+def char_poly_valuations(a: QMatrix, p: int) -> list:
+    """v_p of the coefficients of a's characteristic polynomial, leading
+    first, INFINITY for a zero one: v_p(C_i) - i v_p(d) off _berkowitz's
+    integer coefficients, with no Fraction built."""
+    d, coeffs = _berkowitz(a)
+    step = -vp_int(d, p)
+    return [vp_int(c, p) + i * step for i, c in enumerate(coeffs)]
 
 
 @dataclass(frozen=True)
@@ -368,19 +389,28 @@ def _integer_span(p: int, cols) -> _Span:
                          for (_, col), t in zip(cleared, shifts)])
 
 
-def _hermite(p: int, span: _Span):
-    """Canonical (shift, H, exps) of the lattice p^-shift * span_Zp(cols).
+class _Triangle(NamedTuple):
+    """The lattice p^-shift * span_Zp(cols), cols triangular: cols[i] is
+    zero below row i, and its diagonal entry is units[i] * p^exps[i] with
+    units[i] prime to p. _reduce makes it canonical."""
 
-    H is given by its columns: integer, upper triangular, diagonal p^exps[i],
-    entry (i, j) reduced into [0, p^exps[i]), and shift is the least that
-    makes H integral. First the columns are triangularised bottom-up, the
-    pivot of least valuation first: a column y is replaced by a y - b x for
-    the pivot column x and coprime a, b with a prime to p, so the span over
-    Z_(p) is kept and no fraction appears. The diagonal then gives the
-    exponents e_i, and p^N Z_p^n lies in the lattice for N = sum(e_i) + 1,
-    so the rest runs mod p^N: HNF modulo a determinant (Cohen, A Course in
-    Computational Algebraic Number Theory, 1993, 2.4.2).
-    """
+    shift: int
+    cols: list
+    exps: list
+    units: list
+
+    def det_valuation(self) -> int:
+        """v_p(det) of the lattice, as Lattice.det_valuation reads it off the
+        canonical form: _reduce takes a content p^c out of the columns and
+        out of the shift alike, and n c cancels."""
+        return sum(self.exps) - len(self.exps) * self.shift
+
+
+def _triangular(p: int, span: _Span) -> _Triangle:
+    """Triangularise the span's columns bottom-up, the pivot of least
+    valuation first: a column y is replaced by a y - b x for the pivot
+    column x and coprime a, b with a prime to p, so the span over Z_(p) is
+    kept and no fraction appears."""
     shift, cols = span
     n = len(cols[0])
     if n == 0:
@@ -410,6 +440,17 @@ def _hermite(p: int, span: _Span):
                     col[r] = a * col[r] - b * piv[r]
                 col[i] = 0
         basis[i], exps[i], units[i] = piv, bestv, u
+    return _Triangle(shift, basis, exps, units)
+
+
+def _reduce(p: int, tri: _Triangle):
+    """The canonical (shift, H, exps) of a triangular lattice, its columns
+    reduced in place. p^N Z_p^n lies in the lattice for N = sum(e_i) + 1,
+    so this runs mod p^N: HNF modulo a determinant (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, 2.4.2). The pivots become
+    p^e_i, each entry (i, j) is reduced into [0, p^e_i), and the content
+    of H is moved into the shift."""
+    shift, basis, exps, units = tri
     mod = p ** (sum(exps) + 1)
     pows = [p ** e for e in exps]
     for i, col in enumerate(basis):  # unit pivots: the diagonal becomes p^e_i
@@ -435,6 +476,16 @@ def _hermite(p: int, span: _Span):
     return shift - content, tuple(map(tuple, basis)), tuple(exps)
 
 
+def _hermite(p: int, span: _Span):
+    """Canonical (shift, H, exps) of the lattice p^-shift * span_Zp(cols).
+
+    H is given by its columns: integer, upper triangular, diagonal p^exps[i],
+    entry (i, j) reduced into [0, p^exps[i]), and shift is the least that
+    makes H integral. It is _triangular's form, finished by _reduce.
+    """
+    return _reduce(p, _triangular(p, span))
+
+
 class Lattice:
     """Full-rank Z_p-lattice p^-shift * span(H) in Q_p^n (see _hermite):
     the pair (shift, H) is canonical, so equality is a structural
@@ -444,8 +495,12 @@ class Lattice:
 
     def __init__(self, ctx: PContext, generators):
         """generators: QMatrix or iterable of column vectors spanning the
-        lattice (inside this module also a _Span)."""
+        lattice (inside this module also a _Span, or a _Triangle, which is
+        only reduced)."""
         p = ctx.p
+        if isinstance(generators, _Triangle):
+            self._set(ctx, *_reduce(p, generators))
+            return
         if isinstance(generators, _Span):
             span = generators
         elif isinstance(generators, QMatrix):
@@ -625,12 +680,29 @@ def dual_image(a: QMatrix, lat: Lattice) -> Lattice:
     return _image(a, lat, _dual_span(lat))
 
 
+def _grown_span(lat: Lattice, mats) -> _Span:
+    """The joined spans of L and its images under the h_i, uncanonicalised."""
+    p, span = lat.ctx.p, lat._span()
+    return _joined(p, span, *(_image_span(p, h, span) for h in mats))
+
+
 def grow(lat: Lattice, mats) -> Lattice:
     """L + h_1(L) + ... + h_k(L) for square matrices h_i, in one Hermite
     form on the joined spans: the images are never canonicalised. It has
     full rank whatever the h_i, since it contains L."""
-    p, span = lat.ctx.p, lat._span()
-    return Lattice(lat.ctx, _joined(p, span, *(_image_span(p, h, span) for h in mats)))
+    return Lattice(lat.ctx, _grown_span(lat, mats))
+
+
+def sum_chain(lat: Lattice, a: QMatrix):
+    """The chain E_0 = L, E_{k+1} = E_k + a(E_k), as the endless pairs
+    (E_k, v_p(det E_{k+1})). Each step triangularises the joined spans of
+    E_k and a(E_k) and reads v_p(det E_{k+1}) off the diagonal; E_{k+1} is
+    reduced to its canonical Lattice only when the next pair is asked for,
+    so a caller that stops at step k pays no reduction for E_{k+1}."""
+    while True:
+        tri = _triangular(lat.ctx.p, _grown_span(lat, [a]))
+        yield lat, tri.det_valuation()
+        lat = Lattice(lat.ctx, tri)
 
 
 def _local_snf(p: int, a):
@@ -638,7 +710,7 @@ def _local_snf(p: int, a):
     integers on [a | 1]. Step t takes the entry of least valuation in rows
     and columns t.. (the first in row-major order) to (t, t) by a row swap
     and a swap of columns in the left block, then clears each row y below
-    the pivot row x = u p^e at t with _hermite's step
+    the pivot row x = u p^e at t with _triangular's step
     y <- (u y - (y_t / p^e) x) / g, g = gcd(u, y_t / p^e), which keeps y a
     unit multiple of itself over Z_(p). Returns the exponents (ascending),
     the right block R and the pivots' units u: diag(u)^-1 R is the product

@@ -3,26 +3,47 @@
 The scale s(alpha) is the minimal index [alpha(U) : U ^ alpha(U)] over
 compact open subgroups U, always a power of p here. The certified exponent
 is -min v_p(c_i) over the char poly's coefficients, the lowest point of its
-Newton polygon. The tidying iteration must reach it, or the operation fails
-loudly; it yields a minimizing lattice as a procedural witness. The
-iteration runs on the duals of its lattices, where each step is a sum
-E + alpha^T(E) in one Hermite form that gives both the step's index and
-the next lattice; no lattice is intersected.
+Newton polygon, read off its integer coefficients
+(``linalg.char_poly_valuations``); no Fraction polynomial is built. The
+tidying iteration must reach it, or the operation fails loudly; it yields
+a minimizing lattice as a procedural witness. The iteration runs on the
+duals of its lattices, where each step triangularises the sum
+E + alpha^T(E) and reads the step's index off its diagonal
+(``linalg.sum_chain``); the sum is reduced to the next lattice only when
+the iteration goes on, and no lattice is intersected. ``type_r`` holds
+the type-R rule that ``invariant_lattice`` and ``dynamics`` decide by.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, char_poly, dual_image, grow, maps_into
-from .qpcore import PContext, vp_frac
+from .linalg import Lattice, QMatrix, char_poly_valuations, dual_image, grow, maps_into, \
+    sum_chain
+from .qpcore import INFINITY, PContext, vp_frac, vp_int
 
 
 def _valuations(a: QMatrix, ctx: PContext) -> list:
-    poly = char_poly(a)
-    if poly[-1] == 0:  # the constant term is +-det(a)
+    vals = char_poly_valuations(a, ctx.p)
+    if vals[-1] is INFINITY:  # the constant term is +-det(a)
         raise Singular("scale is only defined for invertible maps")
-    return [vp_frac(c, ctx.p) for c in poly]
+    return vals
+
+
+def type_r(a: QMatrix, v: int, ctx: PContext) -> bool:
+    """Whether every eigenvalue of a, invertible with v_p(det a) = v, is a
+    p-adic unit: the char poly's Newton polygon is flat at height 0, every
+    coefficient p-integral and the constant term +-det a a unit. A nonzero
+    v decides it (no), and so does a p-integral a (yes), or a trace that is
+    not p-integral (no: c_1 = -tr). Only the rest need the char poly."""
+    if v:
+        return False
+    d, p = a.denominator, ctx.p
+    if d % p:
+        return True
+    if vp_int(sum(row[i] for i, row in enumerate(a.numerators)), p) < vp_int(d, p):
+        return False
+    return min(char_poly_valuations(a, p)) == 0
 
 
 def scale_newton(a: QMatrix, ctx: PContext) -> int:
@@ -62,8 +83,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
     minimizer (tidy for alpha).
 
     The iteration runs on the dual side, as a pure sum chain: E_0 = Z_p^n,
-    E_{k+1} = E_k + alpha^T(E_k), one Hermite form per step, and step k's
-    index is e_k = v(det E_k) - v(det E_{k+1}). The lattice returned at
+    E_{k+1} = E_k + alpha^T(E_k), and step k's index is
+    e_k = v(det E_k) - v(det E_{k+1}), read off the triangular form of the
+    sum; E_{k+1} is reduced to a canonical lattice only when the iteration
+    goes on (linalg.sum_chain). The lattice returned at
     step k is U = alpha^k(E_k*), read off the adjugate of E_k's basis in
     one more Hermite form (U = Z_p^n at k = 0). Three facts:
 
@@ -85,12 +108,11 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         cap = default_iteration_cap(vals, a.n)
     elif cap < 0:
         raise ValueError("cap must be non-negative")
-    transpose = a.transpose()
-    cur = Lattice.standard(ctx, a.n)  # E_k
+    chain = sum_chain(Lattice.standard(ctx, a.n), a.transpose())
     trace = []
-    for k in range(cap + 1):
-        grown = grow(cur, [transpose])
-        e = cur.det_valuation() - grown.det_valuation()
+    # range comes first: zip stops at the cap without asking for E_(cap+1)
+    for k, (cur, grown_valuation) in zip(range(cap + 1), chain):  # cur is E_k
+        e = cur.det_valuation() - grown_valuation
         trace.append((k, e))
         if e < target:
             raise InternalInvariantViolation(
@@ -100,23 +122,22 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         if e == target:
             lat = cur if k == 0 else dual_image(a ** k, cur)
             return ScaleReport(target, lat, tuple(trace), True)
-        cur = grown
     raise CapExceeded(
         f"tidying did not certify the scale within {cap} steps", tuple(trace))
 
 
 def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
     """A lattice L with alpha(L) = L, or None when none exists. One exists iff
-    alpha is type R: v_p(det) = 0, and alpha is p-integral or s(alpha) = 1.
-    Then the char poly is p-integral with a unit constant term, so alpha^-1
-    and alpha^n lie in the Z_p-span of 1, ..., alpha^(n-1) (Cayley-Hamilton),
-    and L_{k+1} = L_k + alpha(L_k) from Z_p^n is sum_{k<n} alpha^k Z_p^n by
-    k = n - 1. Each L_k is checked before it grows: alpha(L) <= L, with the
-    unit det, is alpha(L) = L. No cap applies; nothing is inverted."""
+    alpha is type R (``type_r``). Then the char poly is p-integral with a
+    unit constant term, so alpha^-1 and alpha^n lie in the Z_p-span of
+    1, ..., alpha^(n-1) (Cayley-Hamilton), and L_{k+1} = L_k + alpha(L_k)
+    from Z_p^n is sum_{k<n} alpha^k Z_p^n by k = n - 1. Each L_k is checked
+    before it grows: alpha(L) <= L, with the unit det, is alpha(L) = L. No
+    cap applies; nothing is inverted."""
     det = a.det()
     if det == 0:
         raise Singular("matrix is singular")
-    if vp_frac(det, ctx.p) or (a.denominator % ctx.p == 0 and scale_newton(a, ctx) > 0):
+    if not type_r(a, vp_frac(det, ctx.p), ctx):
         return None
     lat = Lattice.standard(ctx, a.n)
     for _ in range(a.n):

@@ -6,15 +6,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ppm.dynamics
 import ppm.linalg
+import ppm.scale
 from ppm.analyzer import FINITELY_GENERATED, GroupSpec, analyze
 from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness, \
-    _complete_basis, _type_r_view, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
+    _complete_basis, bounded_group, common_fixed_space, ku_flag, type_r_matrix, \
     type_r_witness_search
 from ppm.errors import NotTypeR, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, elementary_divisors, eliminate, \
-    grow, rref
-from ppm.qpcore import PContext, vp
-from ppm.scale import invariant_lattice, scale_newton
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, \
+    elementary_divisors, eliminate, grow, rref
+from ppm.qpcore import PContext, vp, vp_frac
+from ppm.scale import invariant_lattice, scale_newton, type_r
 
 CTX3 = PContext(3)
 
@@ -369,11 +370,12 @@ def test_saturation_rejects_a_negative_round_cap():
 def test_a_non_unit_determinant_decides_a_generator_without_a_char_poly(monkeypatch):
     calls = []
 
-    def counting(a):
+    def counting(a, p):
         calls.append(a)
-        return char_poly(a)
+        return char_poly_valuations(a, p)
 
-    monkeypatch.setattr(ppm.dynamics, "char_poly", counting)
+    # the type-R rule, scale.type_r, reads the char poly's valuations
+    monkeypatch.setattr(ppm.scale, "char_poly_valuations", counting)
     steep = QMatrix([[0, 1], [F(1, 3), 1]])  # det -1/3, not p-integral
     group = GeneratorSet.of(CTX3, [U1, steep])
     res = bounded_group(group)
@@ -620,7 +622,10 @@ def test_law_the_determinant_first_rule_is_type_r_matrix(p, n, integral, data):
         a = c.inverse() * a * c
     assume(a.det() != 0)
     ctx = PContext(p)
-    assert _type_r_view(a, vp(a.det(), ctx), ctx) == type_r_matrix(a, ctx)
+    # the definition: every char poly coefficient p-integral, the constant term a unit
+    poly = char_poly(a)
+    want = vp_frac(poly[-1], p) == 0 and all(vp_frac(c, p) >= 0 for c in poly)
+    assert type_r(a, vp(a.det(), ctx), ctx) == type_r_matrix(a, ctx) == want
 
 
 # -- ku_flag answers as if it searched all words first -----------------------

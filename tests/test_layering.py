@@ -75,6 +75,15 @@ def test_dynamics_and_scale_recheck_no_certificate_by_a_hermite_form():
     assert found == []
 
 
+def test_no_solver_imports_the_fraction_char_poly():
+    # scale and dynamics read valuations off the integer coefficients
+    # (linalg.char_poly_valuations); char_poly is the Fraction interface
+    found = [(module, node.lineno) for module, tree in _trees() if module in ("dynamics", "scale")
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name == "char_poly"]
+    assert found == []
+
+
 def test_every_name_the_benchmark_traces_resolves():
     # a traced perfbench run patches each of these names and fails on a
     # missing one

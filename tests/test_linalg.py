@@ -4,14 +4,14 @@ from itertools import combinations, permutations
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ppm.linalg
 from ppm.errors import NotNested, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, dual_image, elementary_divisors, \
-    elementary_divisors_with_directions, lattice_index, lattice_intersect, lattice_sum, \
-    maps_into, newton_polygon
-from ppm.qpcore import PContext, vp
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, dual_image, \
+    elementary_divisors, elementary_divisors_with_directions, lattice_index, lattice_intersect, \
+    lattice_sum, maps_into, newton_polygon
+from ppm.qpcore import INFINITY, PContext, vp, vp_frac
 from ppm.scale import scale_tidy
 
 CTX2, CTX3, CTX5 = PContext(2), PContext(3), PContext(5)
@@ -524,6 +524,32 @@ def test_canonical_basis_equals_the_fraction_reference(case):
 def test_char_poly_equals_the_fraction_reference(case):
     (a,) = case
     assert char_poly(a) == _reference_char_poly(a)
+
+
+@st.composite
+def sparse_matrices(draw, max_n=6):
+    """(p, a): a rational matrix of order n <= 6 with many zero entries, so
+    that zero coefficients (a singular a, a nilpotent block) occur."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, max_n))
+    entries = st.one_of(st.just(F(0)), _scalars(p))
+    return p, QMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices())
+@example((3, QMatrix([[0, 3], [1, 0]])))
+@example((2, QMatrix([[0] * 3] * 3)))
+@example((5, QMatrix([[0, F(1, 5), 7], [0, 0, F(2, 25)], [0, 0, 0]])))
+def test_law_char_poly_valuations_are_those_of_the_fraction_coefficients(case):
+    p, a = case
+    assert char_poly_valuations(a, p) == [vp_frac(c, p) for c in char_poly(a)]
+
+
+def test_a_zero_char_poly_coefficient_has_infinite_valuation():
+    assert char_poly_valuations(QMatrix([[0, 3], [1, 0]]), 3) == [0, INFINITY, 1]
+    assert char_poly_valuations(QMatrix([[F(1, 9), 0], [0, 3]]), 3) == [0, -2, -1]
 
 
 @LAWS

@@ -9,8 +9,8 @@ import ppm.linalg
 import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import CapExceeded, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, grow, lattice_index, lattice_intersect, \
-    lattice_sum, newton_polygon
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, dual_image, \
+    grow, lattice_index, lattice_intersect, lattice_sum, newton_polygon
 from ppm.qpcore import PContext, vp, vp_frac
 from ppm.scale import default_iteration_cap, invariant_lattice, scale_newton, scale_tidy
 
@@ -121,13 +121,12 @@ def test_invariant_lattice_is_exactly_invariant():
 def test_at_most_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
     calls = []
 
-    def counting(a):
+    def counting(a, p):
         calls.append(a)
-        return char_poly(a)
+        return char_poly_valuations(a, p)
 
-    # patch every namespace that could hold the char poly
-    monkeypatch.setattr(ppm.scale, "char_poly", counting)
-    monkeypatch.setattr(ppm.dynamics, "char_poly", counting)
+    # scale reads every char poly it needs through its valuations
+    monkeypatch.setattr(ppm.scale, "char_poly_valuations", counting)
     steep = QMatrix.diagonal([F(1, 3), 1])
     for a in (steep, QMatrix([[1, F(1, 3)], [0, 1]])):
         for query in (scale_tidy, invariant_lattice):
@@ -246,39 +245,88 @@ def test_a_tidying_run_intersects_nothing(monkeypatch):
 
 
 def test_hermite_forms_per_tidy_call(monkeypatch):
-    # one per step, the sum E + a^T(E); then one for the returned lattice
-    # a^k(E*), unless it is the standard lattice
-    calls = []
-    hermite = ppm.linalg._hermite
+    # each step triangularises the sum E + a^T(E) and reduces it only when
+    # the run goes on; the returned lattice a^k(E*) is one whole Hermite
+    # form (a triangularisation and a reduction), unless it is the
+    # standard lattice
+    calls = {"triangular": 0, "reduce": 0, "hermite": 0}
 
-    def counting(p, span):
-        calls.append(p)
-        return hermite(p, span)
+    def counting(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
 
-    monkeypatch.setattr(ppm.linalg, "_hermite", counting)
-    for a, expected in ((QMatrix([[1, F(1, 3)], [0, 1]]), 3),
-                        (QMatrix([[1, F(1, 27)], [0, 1]]), 3),
-                        (QMatrix([[3, F(1, 9)], [0, 1]]), 3),
-                        (QMatrix.diagonal([F(1, 9), 1, 3]), 1)):
-        calls.clear()
-        steps = len(scale_tidy(a, CTX3).iteration_trace)
-        assert len(calls) == steps + (1 if steps > 1 else 0) == expected
+    for name in calls:
+        monkeypatch.setattr(ppm.linalg, f"_{name}", counting(name, getattr(ppm.linalg, f"_{name}")))
+    for a, steps in ((QMatrix([[1, F(1, 3)], [0, 1]]), 2),
+                     (QMatrix([[1, F(1, 27)], [0, 1]]), 2),
+                     (QMatrix([[3, F(1, 9)], [0, 1]]), 2),
+                     (QMatrix.diagonal([F(1, 9), 1, 3]), 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(scale_tidy(a, CTX3).iteration_trace) == steps
+        returned = 1 if steps > 1 else 0
+        assert calls == {"triangular": steps + returned, "reduce": steps - 1 + returned,
+                         "hermite": returned}
+
+
+def _reference_sum_chain(a, ctx):
+    """The dual chain E_{k+1} = E_k + a^T(E_k) from Z_p^n with every sum a
+    whole Hermite form (grow), each index v(det E_k) - v(det E_{k+1}) read
+    off two canonical lattices, and a^k(E_k*) returned at the scale."""
+    target, transpose = scale_newton(a, ctx), a.transpose()
+    cur, trace = Lattice.standard(ctx, a.n), []
+    for k in range(default_iteration_cap(char_poly_valuations(a, ctx.p), a.n) + 1):
+        grown = grow(cur, [transpose])
+        trace.append((k, cur.det_valuation() - grown.det_valuation()))
+        if trace[-1][1] == target:
+            return target, cur if k == 0 else dual_image(a ** k, cur), tuple(trace)
+        cur = grown
+    raise CapExceeded("reference cap", tuple(trace))
 
 
 @settings(max_examples=60, deadline=None)
 @given(invertible())
 def test_law_a_tidying_index_read_off_the_sum_is_the_index_of_the_intersection(case):
     """[L + a(L) : L] = [a(L) : L ^ a(L)] at every lattice of a tidying run,
-    and grow(L, [a]) is the sum L + a(L)."""
+    and grow(L, [a]) is the sum L + a(L). scale_tidy, which reduces only the
+    sums its chain goes on from, reports the scale, the trace and the lattice
+    of the chain that canonicalises every sum."""
     a, ctx = case
+    report = scale_tidy(a, ctx)
     lat = Lattice.standard(ctx, a.n)
-    for _ in range(len(scale_tidy(a, ctx).iteration_trace)):
+    for _ in range(len(report.iteration_trace)):
         image = apply(a, lat)
         meet = lattice_intersect(image, lat)
         grown = grow(lat, [a])
         assert grown == lattice_sum(lat, image)
         assert lat.det_valuation() - grown.det_valuation() == lattice_index(image, meet)
         lat = meet
+    assert (report.scale_exponent, report.minimizing_lattice, report.iteration_trace) \
+        == _reference_sum_chain(a, ctx)
+
+
+def test_the_trace_rejects_a_unit_determinant_before_any_char_poly(monkeypatch):
+    # c^-1 diag(1/9, 1, 9) c has det 1 and trace 82/9, so it is not type R
+    # (c_1 = -tr); the shear has det 1 and trace 2, so it needs its char poly
+    calls = []
+
+    def counting(a, p):
+        calls.append(a)
+        return char_poly_valuations(a, p)
+
+    monkeypatch.setattr(ppm.scale, "char_poly_valuations", counting)
+    c = QMatrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    steep = c.inverse() * QMatrix.diagonal([F(1, 9), 1, 9]) * c
+    shear = QMatrix([[1, F(1, 3)], [0, 1]])
+    for a, type_r, polys in ((steep, False, 0), (shear, True, 1)):
+        calls.clear()
+        assert (invariant_lattice(a, CTX3) is not None) == type_r_matrix(a, CTX3) == type_r
+        assert len(calls) == 2 * polys
+    singular = QMatrix([[F(1, 3), 1], [0, 0]])  # trace 1/3, but Singular comes first
+    for query in (invariant_lattice, type_r_matrix):
+        with pytest.raises(Singular):
+            query(singular, CTX3)
 
 
 def test_a_tidying_cap_raises_with_the_trace_so_far():
