@@ -25,8 +25,6 @@ tidying run's chain L + a(L), reading each v_p(det) off the triangular
 form and reducing a sum only when the chain goes on.
 ``maps_into`` tests a(L) <= L off L's integer adjugate, with no Hermite
 form; as [L : a(L)] = p^v_p(det a), with a unit det that is a(L) = L.
-``dual_image`` maps a lattice's dual, read off its integer adjugate, in
-one Hermite form, as a tidying run does to return its lattice.
 """
 from __future__ import annotations
 
@@ -248,11 +246,6 @@ class QMatrix:
     def _check(self, other):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-
-    def transpose(self) -> "QMatrix":
-        """The transpose, read off the integer view, which stays in lowest terms."""
-        d, m = self._int_view()
-        return QMatrix._from_view(self.n, (d, *(x for col in zip(*m) for x in col)))
 
     def det(self) -> Fraction:
         """det(N) / d^n, det(N) read off the forward pass of the kernel."""
@@ -655,29 +648,17 @@ def _image_span(p: int, a: QMatrix, span: _Span) -> _Span:
     return _Span(shift + vp_int(d, p), [[sum(map(mul, row, col)) for row in m] for col in cols])
 
 
-def _image(a: QMatrix, lat: Lattice, span: _Span) -> Lattice:
-    """The image under a of span, a lattice in L's space, canonicalised."""
-    span = _image_span(lat.ctx.p, a, span)
-    try:
-        return Lattice(lat.ctx, span)
-    except ValueError as exc:
-        raise Singular("cannot apply a singular matrix to a lattice") from exc
-
-
 def apply(a: QMatrix, lat: Lattice) -> Lattice:
     """Image lattice a(L), canonicalized; it has full rank iff a is invertible."""
-    return _image(a, lat, lat._span())
+    try:
+        return Lattice(lat.ctx, _image_span(lat.ctx.p, a, lat._span()))
+    except ValueError as exc:
+        raise Singular("cannot apply a singular matrix to a lattice") from exc
 
 
 def maps_into(a: QMatrix, lat: Lattice) -> bool:
     """Whether a(L) <= L, off L's integer adjugate (no Hermite form)."""
     return lat._covers(_image_span(lat.ctx.p, a, lat._span()))
-
-
-def dual_image(a: QMatrix, lat: Lattice) -> Lattice:
-    """a(L*), L* the dual of L, in one Hermite form: L*'s span is read off
-    the integer adjugate of L's basis and never canonicalised."""
-    return _image(a, lat, _dual_span(lat))
 
 
 def _grown_span(lat: Lattice, mats) -> _Span:
@@ -694,11 +675,11 @@ def grow(lat: Lattice, mats) -> Lattice:
 
 
 def sum_chain(lat: Lattice, a: QMatrix):
-    """The chain E_0 = L, E_{k+1} = E_k + a(E_k), as the endless pairs
-    (E_k, v_p(det E_{k+1})). Each step triangularises the joined spans of
-    E_k and a(E_k) and reads v_p(det E_{k+1}) off the diagonal; E_{k+1} is
+    """The chain F_0 = L, F_{k+1} = F_k + a(F_k), as the endless pairs
+    (F_k, v_p(det F_{k+1})). Each step triangularises the joined spans of
+    F_k and a(F_k) and reads v_p(det F_{k+1}) off the diagonal; F_{k+1} is
     reduced to its canonical Lattice only when the next pair is asked for,
-    so a caller that stops at step k pays no reduction for E_{k+1}."""
+    so a caller that stops at step k pays no reduction for F_{k+1}."""
     while True:
         tri = _triangular(lat.ctx.p, _grown_span(lat, [a]))
         yield lat, tri.det_valuation()

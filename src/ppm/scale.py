@@ -6,20 +6,19 @@ is -min v_p(c_i) over the char poly's coefficients, the lowest point of its
 Newton polygon, read off its integer coefficients
 (``linalg.char_poly_valuations``); no Fraction polynomial is built. The
 tidying iteration must reach it, or the operation fails loudly; it yields
-a minimizing lattice as a procedural witness. The iteration runs on the
-duals of its lattices, where each step triangularises the sum
-E + alpha^T(E) and reads the step's index off its diagonal
-(``linalg.sum_chain``); the sum is reduced to the next lattice only when
-the iteration goes on, and no lattice is intersected. ``type_r`` holds
-the type-R rule that ``invariant_lattice`` and ``dynamics`` decide by.
+a minimizing lattice as a procedural witness. The iteration is the sum
+chain F + alpha(F) from Z_p^n, where each step triangularises the sum and
+reads the step's index off its diagonal (``linalg.sum_chain``); the sum is
+reduced to the next lattice only when the iteration goes on, and no
+lattice is intersected. ``type_r`` holds the type-R rule that
+``invariant_lattice`` and ``dynamics`` decide by.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, char_poly_valuations, dual_image, grow, maps_into, \
-    sum_chain
+from .linalg import Lattice, QMatrix, char_poly_valuations, grow, maps_into, sum_chain
 from .qpcore import INFINITY, PContext, vp_frac, vp_int
 
 
@@ -66,7 +65,8 @@ class ScaleReport:
     """Result of the tidying iteration.
 
     scale_exponent: s(alpha) = p^scale_exponent, equal to the Newton value.
-    minimizing_lattice: lattice U with [alpha(U) : U ^ alpha(U)] = p^m.
+    minimizing_lattice: lattice U with [alpha(U) : U ^ alpha(U)] = p^m; it
+        contains Z_p^n, as the sum chain it ends only grows.
     iteration_trace: (step, index exponent) pairs, non-increasing.
     method_agreement: tidying terminated exactly at the Newton value.
     """
@@ -78,29 +78,22 @@ class ScaleReport:
 
 
 def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport:
-    """Run the tidying iteration L_0 = Z_p^n, L_{k+1} = L_k ^ alpha(L_k)
-    until the index exponent reaches the Newton value; that lattice is a
+    """Run the tidying iteration F_0 = Z_p^n, F_{k+1} = F_k + alpha(F_k)
+    until the index exponent reaches the Newton value; that F_k is a
     minimizer (tidy for alpha).
 
-    The iteration runs on the dual side, as a pure sum chain: E_0 = Z_p^n,
-    E_{k+1} = E_k + alpha^T(E_k), and step k's index is
-    e_k = v(det E_k) - v(det E_{k+1}), read off the triangular form of the
-    sum; E_{k+1} is reduced to a canonical lattice only when the iteration
-    goes on (linalg.sum_chain). The lattice returned at
-    step k is U = alpha^k(E_k*), read off the adjugate of E_k's basis in
-    one more Hermite form (U = Z_p^n at k = 0). Three facts:
+    Step k's index is e_k = v(det F_k) - v(det F_{k+1}), read off the
+    triangular form of the sum; F_{k+1} is reduced to a canonical lattice
+    only when the iteration goes on (linalg.sum_chain). Two facts:
 
-    - ind_alpha(X*) = ind_{alpha^T}(X), where ind_alpha(X) is
-      [alpha(X) : X ^ alpha(X)] = [X + alpha(X) : X]: dualising swaps sum
-      and intersection and turns alpha into alpha^-T.
-    - ind_alpha(alpha^k X) = ind_alpha(X): alpha^k carries the pair
-      (alpha(X), X ^ alpha(X)) to the pair for alpha^k X.
-    - So e_k = [E_k + alpha^T(E_k) : E_k] is exactly [alpha(U) : U ^ alpha(U)];
-      the returned lattice's index is measured, not inferred.
-
-    Only to see that U, the trace and every CapExceeded trace are those of
-    the intersection chain: by induction L_k* = alpha^-kT(E_k), since
-    L_{k+1}* = L_k* + alpha^-T(L_k*); so L_k = alpha^k(E_k*).
+    - e_k = [F_k + alpha(F_k) : F_k] = [alpha(F_k) : F_k ^ alpha(F_k)], so
+      the index is measured on the returned lattice, not inferred.
+    - The chain ends: dualising swaps sum and intersection, so the F_k are
+      the duals of the intersection chain L_{k+1} = L_k ^ beta(L_k) for
+      beta = alpha^-T, which reaches a lattice tidy for beta; a lattice
+      tidy for beta is tidy for beta^-1 (Willis 1994, cited from memory),
+      and e_k is the index of L_k under beta^-1 = alpha^T, whose scale is
+      alpha's.
     """
     vals = _valuations(a, ctx)
     target = -min(vals)
@@ -108,10 +101,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         cap = default_iteration_cap(vals, a.n)
     elif cap < 0:
         raise ValueError("cap must be non-negative")
-    chain = sum_chain(Lattice.standard(ctx, a.n), a.transpose())
+    chain = sum_chain(Lattice.standard(ctx, a.n), a)
     trace = []
-    # range comes first: zip stops at the cap without asking for E_(cap+1)
-    for k, (cur, grown_valuation) in zip(range(cap + 1), chain):  # cur is E_k
+    # range comes first: zip stops at the cap without asking for F_(cap+1)
+    for k, (cur, grown_valuation) in zip(range(cap + 1), chain):  # cur is F_k
         e = cur.det_valuation() - grown_valuation
         trace.append((k, e))
         if e < target:
@@ -120,8 +113,7 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         if len(trace) >= 2 and trace[-2][1] < e:
             raise InternalInvariantViolation("tidying index increased")
         if e == target:
-            lat = cur if k == 0 else dual_image(a ** k, cur)
-            return ScaleReport(target, lat, tuple(trace), True)
+            return ScaleReport(target, cur, tuple(trace), True)
     raise CapExceeded(
         f"tidying did not certify the scale within {cap} steps", tuple(trace))
 

@@ -16,7 +16,7 @@ from ppm.linalg import Lattice, QMatrix, elementary_divisors_with_directions
 from ppm.qpcore import PContext
 from ppm.scale import invariant_lattice, scale_tidy
 
-DIGEST = "a5c542837dbef5d85e5b9af067d43be194852058867a089be8f1d22267f661e8"
+DIGEST = "7bf2f8d7f9fb261be8bcfb8d61174b113a9476ff3a62e2d0e9bb91fc97e7ad94"
 
 
 def _canon(x):

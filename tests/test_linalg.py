@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ppm.linalg
 from ppm.errors import NotNested, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, dual_image, \
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, \
     elementary_divisors, elementary_divisors_with_directions, lattice_index, lattice_intersect, \
     lattice_sum, maps_into, newton_polygon
 from ppm.qpcore import INFINITY, PContext, vp, vp_frac
@@ -386,19 +386,6 @@ def test_law_apply_respects_composition(data):
     a, b = _invertible(data.draw, ctx.p, n), _invertible(data.draw, ctx.p, n)
     assert apply(a * b, lat) == apply(a, apply(b, lat))
     assert apply(QMatrix.identity(n), lat) == lat
-
-
-@LAWS
-@given(st.data())
-def test_law_dual_image_is_the_image_of_the_dual(data):
-    """dual_image(a, L) = a(L*), and the transpose read off the integer
-    view is the transpose of the entries."""
-    ctx, n, (lat,) = data.draw(lattices(1))
-    a = _invertible(data.draw, ctx.p, n)
-    assert dual_image(a, lat) == apply(a, lat.dual())
-    assert a.transpose() == QMatrix(list(zip(*a.rows)))
-    with pytest.raises(Singular):
-        dual_image(QMatrix([[0] * n for _ in range(n)]), lat)
 
 
 @LAWS

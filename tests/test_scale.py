@@ -9,8 +9,8 @@ import ppm.linalg
 import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import CapExceeded, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, dual_image, \
-    grow, lattice_index, lattice_intersect, lattice_sum, newton_polygon
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, grow, \
+    lattice_index, lattice_intersect, lattice_sum, newton_polygon
 from ppm.qpcore import PContext, vp, vp_frac
 from ppm.scale import default_iteration_cap, invariant_lattice, scale_newton, scale_tidy
 
@@ -245,10 +245,9 @@ def test_a_tidying_run_intersects_nothing(monkeypatch):
 
 
 def test_hermite_forms_per_tidy_call(monkeypatch):
-    # each step triangularises the sum E + a^T(E) and reduces it only when
-    # the run goes on; the returned lattice a^k(E*) is one whole Hermite
-    # form (a triangularisation and a reduction), unless it is the
-    # standard lattice
+    # each step triangularises the sum F + a(F) and reduces it only when
+    # the run goes on; the returned lattice is the chain's own F_k, so it
+    # costs no Hermite form
     calls = {"triangular": 0, "reduce": 0, "hermite": 0}
 
     def counting(name, real):
@@ -265,22 +264,22 @@ def test_hermite_forms_per_tidy_call(monkeypatch):
                      (QMatrix.diagonal([F(1, 9), 1, 3]), 1)):
         calls.update(dict.fromkeys(calls, 0))
         assert len(scale_tidy(a, CTX3).iteration_trace) == steps
-        returned = 1 if steps > 1 else 0
-        assert calls == {"triangular": steps + returned, "reduce": steps - 1 + returned,
-                         "hermite": returned}
+        assert calls == {"triangular": steps, "reduce": steps - 1, "hermite": 0}
 
 
-def _reference_sum_chain(a, ctx):
-    """The dual chain E_{k+1} = E_k + a^T(E_k) from Z_p^n with every sum a
-    whole Hermite form (grow), each index v(det E_k) - v(det E_{k+1}) read
-    off two canonical lattices, and a^k(E_k*) returned at the scale."""
-    target, transpose = scale_newton(a, ctx), a.transpose()
+def _reference_sum_chain(a, ctx, cap=None):
+    """The forward chain F_{k+1} = F_k + a(F_k) from Z_p^n with every sum a
+    whole Hermite form (grow), each index v(det F_k) - v(det F_{k+1}) read
+    off two canonical lattices, and F_k returned at the scale."""
+    target = scale_newton(a, ctx)
+    if cap is None:
+        cap = default_iteration_cap(char_poly_valuations(a, ctx.p), a.n)
     cur, trace = Lattice.standard(ctx, a.n), []
-    for k in range(default_iteration_cap(char_poly_valuations(a, ctx.p), a.n) + 1):
-        grown = grow(cur, [transpose])
+    for k in range(cap + 1):
+        grown = grow(cur, [a])
         trace.append((k, cur.det_valuation() - grown.det_valuation()))
         if trace[-1][1] == target:
-            return target, cur if k == 0 else dual_image(a ** k, cur), tuple(trace)
+            return target, cur, tuple(trace)
         cur = grown
     raise CapExceeded("reference cap", tuple(trace))
 
@@ -304,6 +303,19 @@ def test_law_a_tidying_index_read_off_the_sum_is_the_index_of_the_intersection(c
         lat = meet
     assert (report.scale_exponent, report.minimizing_lattice, report.iteration_trace) \
         == _reference_sum_chain(a, ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible())
+def test_law_the_tidy_lattice_contains_the_standard_one_and_is_invariant_for_type_r(case):
+    """The forward chain only grows, so the returned lattice contains Z_p^n;
+    for type-R a it is invariant_lattice's, the same chain with the same
+    stop (index 0 is a(F) <= F)."""
+    a, ctx = case
+    lat = scale_tidy(a, ctx).minimizing_lattice
+    assert lat.contains_lattice(Lattice.standard(ctx, a.n))
+    if type_r_matrix(a, ctx):
+        assert invariant_lattice(a, ctx) == lat
 
 
 def test_the_trace_rejects_a_unit_determinant_before_any_char_poly(monkeypatch):
@@ -341,7 +353,8 @@ def test_a_tidying_cap_raises_with_the_trace_so_far():
 
 def _reference_tidy(a, ctx, cap=None):
     """The intersection chain L_{k+1} = L_k ^ a(L_k) from Z_p^n, each index
-    read off the intersection itself: the iteration scale_tidy reproduces."""
+    read off the intersection itself: the textbook iteration, whose scale
+    scale_tidy must reach."""
     vals = [vp_frac(c, ctx.p) for c in char_poly(a)]
     target = -min(vals)
     cap = default_iteration_cap(vals, a.n) if cap is None else cap
@@ -377,14 +390,15 @@ def steep_conjugate(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(steep_conjugate())
-def test_law_tidying_matches_the_intersection_chain(case):
-    """scale_tidy's report, or its CapExceeded trace, is the intersection
-    chain's at every cap; the returned lattice's index, measured directly,
-    is the scale."""
+def test_law_tidying_matches_the_forward_sum_chain(case):
+    """scale_tidy's report, or its CapExceeded trace, is the forward sum
+    chain's at every cap; the scale is the intersection chain's, and the
+    returned lattice's index, measured directly, is the scale."""
     a, ctx = case
+    assert scale_tidy(a, ctx).scale_exponent == _reference_tidy(a, ctx)[0]
     for cap in (None, 0, 1):
         try:
-            want = _reference_tidy(a, ctx, cap)
+            want = _reference_sum_chain(a, ctx, cap)
         except CapExceeded as exc:
             with pytest.raises(CapExceeded) as got:
                 scale_tidy(a, ctx, cap)
