@@ -5,13 +5,14 @@ only, flagged as such), a boundedness decision by lattice saturation
 with an exactly verified invariant-lattice certificate, and a flag
 decomposition splitting the space so that every quotient action is
 bounded. The decision is one loop, ``bounded_group``: it checks each
-generator once, saturates, and runs the sampler once, when 2n rounds
-have not stopped. The flag climbs the tower of common fixed subspaces by
-linear algebra alone, carrying one basis, and runs that loop once, on
-the last quotient; lattice and flag certificates are checked by
-containment, with no Hermite form. Every UNBOUNDED verdict is certified
-by the scale criterion: a word in the generators is not type R, a
-generator at round 0 or a sampled word at round 2n. Otherwise the
+generator once, grows Z_p^n by the generators alone (``linalg.sum_chain``)
+until the index is 0, and runs the sampler once, when 2n rounds have not
+stopped. The flag climbs the tower of common fixed subspaces by linear
+algebra alone, carrying one basis, and runs that loop once, on the last
+quotient; its certificate is re-checked by containment
+(``linalg.maps_into``), with no Hermite form. Every UNBOUNDED verdict is
+certified by the scale criterion: a word in the generators is not type
+R, a generator at round 0 or a sampled word at round 2n. Otherwise the
 verdict is BOUNDED or INCONCLUSIVE (the round cap ran out).
 """
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantViolation, NotTypeR, Singular
-from .linalg import Lattice, QMatrix, eliminate, grow, maps_into
+from .linalg import Lattice, QMatrix, eliminate, maps_into, sum_chain
 from .qpcore import PContext, vp_frac
 from .scale import type_r
 
@@ -62,9 +63,6 @@ class GeneratorSet:
     def of(cls, ctx: PContext, matrices) -> "GeneratorSet":
         matrices = tuple(matrices)
         return cls(ctx, matrices[0].n if matrices else 0, matrices)
-
-    def with_inverses(self):
-        return [h for pair in zip(self.gens, self.inverses) for h in pair]
 
 
 def type_r_matrix(a: QMatrix, ctx: PContext) -> bool:
@@ -137,7 +135,8 @@ class BoundednessResult:
     """Verdict on whether the generated group has bounded orbits.
 
     BOUNDED carries a lattice fixed exactly by every generator (a real
-    certificate). UNBOUNDED carries a word that is not type R, so its
+    certificate): the least one containing Z_p^n, where the sum chain
+    stopped. UNBOUNDED carries a word that is not type R, so its
     powers are unbounded and no invariant lattice exists: a generator at
     round 0, or the sampler's word at round min(2n, cap). INCONCLUSIVE
     reports the caps that ran out. rounds counts the saturation rounds run.
@@ -152,29 +151,30 @@ class BoundednessResult:
 
 def bounded_group(group: GeneratorSet, rounds_cap: int = _DEFAULT_ROUNDS) -> BoundednessResult:
     """UNBOUNDED, with no rounds, at the first generator that is not type R
-    (the scale criterion; complete for one generator). Otherwise each round
-    checks the lattice, Z_p^n first, then grows it by the generators and
-    their inverses in one Hermite form. The check certifies BOUNDED with no
-    Hermite form: g(L) <= L for each g, of unit det, is g(L) = L. rounds_cap
-    rounds end INCONCLUSIVE. If it still grows after round min(2n,
-    rounds_cap), the word search runs once: a witness ends the loop
-    UNBOUNDED at that round."""
+    (the scale criterion; complete for one generator). Otherwise round k + 1
+    reads the index [F_{k+1} : F_k] = p^e_k of the sum chain F_0 = Z_p^n,
+    F_{k+1} = F_k + sum_i g_i(F_k) (linalg.sum_chain), with no inverse
+    taken. e_k = 0 certifies BOUNDED with F_k: F_{k+1} = F_k, so each g maps
+    F_k into itself, and with its unit det g(F_k) = F_k. That F_k is the
+    least lattice containing Z_p^n that every generator maps into itself,
+    so it is the least group-invariant one. rounds_cap rounds end
+    INCONCLUSIVE. If it still grows at round min(2n, rounds_cap), the word
+    search runs once: a witness ends the loop UNBOUNDED at that round."""
     if rounds_cap < 0:
         raise ValueError("rounds_cap must be non-negative")
     ctx = group.ctx
     for i, g in enumerate(group.gens):
         if not type_r(g, vp_frac(group.dets[i], ctx.p), ctx):
             return BoundednessResult(UNBOUNDED, witness=Witness(((i, 1),), g))
-    lat = Lattice.standard(ctx, group.n)
-    for round_no in range(1, rounds_cap + 1):
-        if all(maps_into(g, lat) for g in group.gens):
+    chain = sum_chain(Lattice.standard(ctx, group.n), group.gens)
+    # range comes first: zip stops at the cap without reducing one more sum
+    for round_no, (lat, e) in zip(range(1, rounds_cap + 1), chain):
+        if e == 0:
             return BoundednessResult(BOUNDED, invariant=lat, rounds=round_no)
         if round_no == min(2 * group.n, rounds_cap):
             witness = type_r_witness_search(group)
             if witness is not None:
                 return BoundednessResult(UNBOUNDED, rounds=round_no, witness=witness)
-        if round_no < rounds_cap:
-            lat = grow(lat, group.with_inverses())  # inverted at the first grow
     return BoundednessResult(INCONCLUSIVE, rounds=rounds_cap, caps={"rounds": rounds_cap})
 
 

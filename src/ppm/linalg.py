@@ -19,12 +19,12 @@ column y against the pivot x = u p^e by one step,
 y <- (u y - (y_t / p^e) x) / g with g = gcd(u, y_t / p^e);
 the Smith form records its row operations in an identity block, from
 which ``elementary_divisors_with_directions`` reads its directions.
-``grow`` sums a lattice with its images under several matrices in one
-Hermite form; saturation rounds are built on it. ``sum_chain`` runs a
-tidying run's chain L + a(L), reading each v_p(det) off the triangular
-form and reducing a sum only when the chain goes on.
-``maps_into`` tests a(L) <= L off L's integer adjugate, with no Hermite
-form; as [L : a(L)] = p^v_p(det a), with a unit det that is a(L) = L.
+``sum_chain`` is the one loop that grows a lattice: L + a_1(L) + ... +
+a_m(L), repeated, reading each step's index off the triangular form and
+reducing a sum only when the chain goes on; tidying, invariant lattices
+and saturation run on it. ``maps_into`` tests a(L) <= L off L's integer
+adjugate, with no Hermite form; as [L : a(L)] = p^v_p(det a), with a unit
+det that is a(L) = L.
 """
 from __future__ import annotations
 
@@ -661,28 +661,20 @@ def maps_into(a: QMatrix, lat: Lattice) -> bool:
     return lat._covers(_image_span(lat.ctx.p, a, lat._span()))
 
 
-def _grown_span(lat: Lattice, mats) -> _Span:
-    """The joined spans of L and its images under the h_i, uncanonicalised."""
-    p, span = lat.ctx.p, lat._span()
-    return _joined(p, span, *(_image_span(p, h, span) for h in mats))
-
-
-def grow(lat: Lattice, mats) -> Lattice:
-    """L + h_1(L) + ... + h_k(L) for square matrices h_i, in one Hermite
-    form on the joined spans: the images are never canonicalised. It has
-    full rank whatever the h_i, since it contains L."""
-    return Lattice(lat.ctx, _grown_span(lat, mats))
-
-
-def sum_chain(lat: Lattice, a: QMatrix):
-    """The chain F_0 = L, F_{k+1} = F_k + a(F_k), as the endless pairs
-    (F_k, v_p(det F_{k+1})). Each step triangularises the joined spans of
-    F_k and a(F_k) and reads v_p(det F_{k+1}) off the diagonal; F_{k+1} is
-    reduced to its canonical Lattice only when the next pair is asked for,
-    so a caller that stops at step k pays no reduction for F_{k+1}."""
+def sum_chain(lat: Lattice, mats):
+    """The chain F_0 = L, F_{k+1} = F_k + a_1(F_k) + ... + a_m(F_k), as the
+    endless pairs (F_k, e_k) with [F_{k+1} : F_k] = p^e_k. Each step
+    triangularises the joined spans of F_k and its images, uncanonicalised,
+    and reads e_k off the diagonal; F_{k+1} is reduced to its canonical
+    Lattice only when the next pair is asked for, so a caller that stops at
+    step k pays no reduction for F_{k+1}. F_{k+1} has full rank whatever the
+    a_i, since it contains F_k, and e_k = 0 is F_{k+1} = F_k: every a_i maps
+    F_k into itself."""
+    p = lat.ctx.p
     while True:
-        tri = _triangular(lat.ctx.p, _grown_span(lat, [a]))
-        yield lat, tri.det_valuation()
+        span = lat._span()
+        tri = _triangular(p, _joined(p, span, *(_image_span(p, a, span) for a in mats)))
+        yield lat, lat.det_valuation() - tri.det_valuation()
         lat = Lattice(lat.ctx, tri)
 
 

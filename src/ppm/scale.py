@@ -10,7 +10,8 @@ a minimizing lattice as a procedural witness. The iteration is the sum
 chain F + alpha(F) from Z_p^n, where each step triangularises the sum and
 reads the step's index off its diagonal (``linalg.sum_chain``); the sum is
 reduced to the next lattice only when the iteration goes on, and no
-lattice is intersected. ``type_r`` holds the type-R rule that
+lattice is intersected. ``invariant_lattice`` runs the same chain until
+its index is 0. ``type_r`` holds the type-R rule that
 ``invariant_lattice`` and ``dynamics`` decide by.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariantViolation, Singular
-from .linalg import Lattice, QMatrix, char_poly_valuations, grow, maps_into, sum_chain
+from .linalg import Lattice, QMatrix, char_poly_valuations, sum_chain
 from .qpcore import INFINITY, PContext, vp_frac, vp_int
 
 
@@ -82,9 +83,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
     until the index exponent reaches the Newton value; that F_k is a
     minimizer (tidy for alpha).
 
-    Step k's index is e_k = v(det F_k) - v(det F_{k+1}), read off the
-    triangular form of the sum; F_{k+1} is reduced to a canonical lattice
-    only when the iteration goes on (linalg.sum_chain). Two facts:
+    Step k's index is p^e_k = [F_{k+1} : F_k], e_k = v(det F_k) -
+    v(det F_{k+1}) read off the triangular form of the sum; F_{k+1} is
+    reduced to a canonical lattice only when the iteration goes on
+    (linalg.sum_chain). Two facts:
 
     - e_k = [F_k + alpha(F_k) : F_k] = [alpha(F_k) : F_k ^ alpha(F_k)], so
       the index is measured on the returned lattice, not inferred.
@@ -101,11 +103,10 @@ def scale_tidy(a: QMatrix, ctx: PContext, cap: int | None = None) -> ScaleReport
         cap = default_iteration_cap(vals, a.n)
     elif cap < 0:
         raise ValueError("cap must be non-negative")
-    chain = sum_chain(Lattice.standard(ctx, a.n), a)
+    chain = sum_chain(Lattice.standard(ctx, a.n), [a])
     trace = []
     # range comes first: zip stops at the cap without asking for F_(cap+1)
-    for k, (cur, grown_valuation) in zip(range(cap + 1), chain):  # cur is F_k
-        e = cur.det_valuation() - grown_valuation
+    for k, (cur, e) in zip(range(cap + 1), chain):  # cur is F_k
         trace.append((k, e))
         if e < target:
             raise InternalInvariantViolation(
@@ -123,17 +124,16 @@ def invariant_lattice(a: QMatrix, ctx: PContext) -> Lattice | None:
     alpha is type R (``type_r``). Then the char poly is p-integral with a
     unit constant term, so alpha^-1 and alpha^n lie in the Z_p-span of
     1, ..., alpha^(n-1) (Cayley-Hamilton), and L_{k+1} = L_k + alpha(L_k)
-    from Z_p^n is sum_{k<n} alpha^k Z_p^n by k = n - 1. Each L_k is checked
-    before it grows: alpha(L) <= L, with the unit det, is alpha(L) = L. No
-    cap applies; nothing is inverted."""
+    from Z_p^n is sum_{k<n} alpha^k Z_p^n by k = n - 1. The chain
+    (linalg.sum_chain) stops at the first index [L_{k+1} : L_k] = p^0: then
+    L_{k+1} = L_k, so alpha(L_k) <= L_k, which with the unit det is
+    alpha(L_k) = L_k. No cap applies; nothing is inverted."""
     det = a.det()
     if det == 0:
         raise Singular("matrix is singular")
     if not type_r(a, vp_frac(det, ctx.p), ctx):
         return None
-    lat = Lattice.standard(ctx, a.n)
-    for _ in range(a.n):
-        if maps_into(a, lat):
+    for _, (lat, e) in zip(range(a.n), sum_chain(Lattice.standard(ctx, a.n), [a])):
+        if e == 0:
             return lat
-        lat = grow(lat, [a])  # past L_(n-1) only on the way to the raise
     raise InternalInvariantViolation(f"the chain found no invariant lattice in {a.n} rounds")

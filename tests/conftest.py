@@ -1,9 +1,27 @@
-"""Inputs shared by several test modules."""
+"""Inputs and counters shared by several test modules."""
 from fractions import Fraction as F
 
 import pytest
 
+import ppm.linalg
 from ppm.linalg import QMatrix
+
+
+@pytest.fixture
+def hermite_calls(monkeypatch):
+    """Calls of linalg's _triangular, _reduce and _hermite, counted while
+    the test runs; calls.update(dict.fromkeys(calls, 0)) resets them."""
+    calls = dict.fromkeys(("triangular", "reduce", "hermite"), 0)
+
+    def counting(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(ppm.linalg, f"_{name}", counting(name, getattr(ppm.linalg, f"_{name}")))
+    return calls
 
 
 @pytest.fixture

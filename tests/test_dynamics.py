@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness
     type_r_witness_search
 from ppm.errors import NotTypeR, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, \
-    elementary_divisors, eliminate, grow, rref
+    elementary_divisors, eliminate, lattice_sum, rref
 from ppm.qpcore import PContext, vp, vp_frac
 from ppm.scale import invariant_lattice, scale_newton, type_r
 
@@ -107,15 +108,22 @@ def test_unbounded_by_a_letter_at_round_0_or_by_a_word_at_round_2n():
     assert not type_r_matrix(res.witness.matrix, CTX3)
 
 
+def _two_sided_round(group, lat):
+    """L + sum g(L) + g^-1(L) over the generators, one canonical lattice
+    per image: a saturation round that grows by the inverses too."""
+    images = (apply(h, lat) for pair in zip(group.gens, group.inverses) for h in pair)
+    return reduce(lattice_sum, images, lat)
+
+
 def test_divergence_evidence_never_overrules_a_type_r_generator(eight_cycle):
-    # the first four rounds look like divergence (minimum divisors against
-    # Z_3^8 from -10 down to -40), but a type-R generator has an invariant
-    # lattice, so saturation must go on until it is reached
+    # the first four two-sided rounds look like divergence (minimum divisors
+    # against Z_3^8 from -10 down to -40), but a type-R generator has an
+    # invariant lattice, so saturation must go on until it is reached
     group = GeneratorSet.of(CTX3, [eight_cycle])
     std = lat = Lattice.standard(CTX3, 8)
     mins = []
     for _ in range(4):
-        lat = grow(lat, group.with_inverses())
+        lat = _two_sided_round(group, lat)
         mins.append(min(elementary_divisors(std, lat)))
     assert mins == [-10, -20, -30, -40]
     res = bounded_group(group)
@@ -133,23 +141,17 @@ def test_a_saturation_past_its_round_cap_is_inconclusive(eight_cycle):
     assert res.caps == {"rounds": 2}
 
 
-def test_one_canonicalisation_per_saturation_round(eight_cycle, monkeypatch):
-    # one Hermite form per round that grows the lattice; the fixpoint is
-    # certified by containment, with none
-    calls = []
-    hermite = ppm.linalg._hermite
-
-    def counting(p, span):
-        calls.append(p)
-        return hermite(p, span)
-
-    monkeypatch.setattr(ppm.linalg, "_hermite", counting)
-    for gens, expected in (([eight_cycle], 4), ([U1, U_THIRD], 1)):
+def test_one_canonicalisation_per_saturation_round(eight_cycle, hermite_calls):
+    # each round triangularises its sum once and reads its index off the
+    # diagonal; only a round that grows reduces the sum to the next lattice,
+    # and the fixpoint, index 0, costs no reduction: no whole Hermite form
+    calls = hermite_calls
+    for gens, rounds in (([eight_cycle], 8), ([U1, U_THIRD], 2)):
         group = GeneratorSet.of(CTX3, gens)
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         res = bounded_group(group)
-        assert res.verdict == BOUNDED
-        assert len(calls) == res.rounds - 1 == expected
+        assert (res.verdict, res.rounds) == (BOUNDED, rounds)
+        assert calls == {"triangular": rounds, "reduce": rounds - 1, "hermite": 0}
 
 
 @pytest.mark.parametrize("c", [10, 20, 40])
@@ -456,21 +458,6 @@ def test_flag_certificates_on_random_integral_groups():
                     == flag.quotient_lattices[i]
 
 
-def test_saturation_inverts_its_reference_lattice_once(eight_cycle, monkeypatch):
-    group = GeneratorSet.of(CTX3, [eight_cycle])  # inverts nothing yet
-    calls = []
-    inverse = QMatrix.inverse
-
-    def counting(self):
-        calls.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(QMatrix, "inverse", counting)
-    res = bounded_group(group)
-    assert res.verdict == BOUNDED and res.rounds == 5
-    assert len(calls) <= 1
-
-
 def test_generators_are_inverted_only_when_the_inverses_are_read(monkeypatch):
     calls = []
     inverse = QMatrix.inverse
@@ -702,6 +689,37 @@ def test_law_ku_flag_answers_as_if_it_searched_first(family, data):
     assert _flag_outcome(ku_flag, group) == _flag_outcome(searching_first, group)
 
 
+def _two_sided_saturation(group, rounds_cap=64):
+    """bounded_group's verdict and lattice by the two-sided saturation: the
+    same round-0 letter check, then each round checks the lattice by
+    canonical images and grows it by the generators and their inverses,
+    with the word search at round min(2n, rounds_cap)."""
+    if not all(type_r_matrix(g, group.ctx) for g in group.gens):
+        return UNBOUNDED, None
+    lat = Lattice.standard(group.ctx, group.n)
+    for round_no in range(1, rounds_cap + 1):
+        if all(apply(g, lat) == lat for g in group.gens):
+            return BOUNDED, lat
+        if round_no == min(2 * group.n, rounds_cap) and type_r_witness_search(group):
+            return UNBOUNDED, None
+        lat = _two_sided_round(group, lat)
+    return INCONCLUSIVE, None
+
+
+@pytest.mark.parametrize("family", FLAG_FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_law_the_forward_saturation_is_the_two_sided_one(family, data):
+    """Growing by the generators alone reaches the lattice that growing by
+    them and their inverses reaches: the least one containing Z_p^n that
+    the group fixes."""
+    group = data.draw(flag_groups(family))
+    res = bounded_group(group)
+    assert (res.verdict, res.invariant) == _two_sided_saturation(group)
+    if res.verdict == BOUNDED:
+        assert all(apply(g, res.invariant) == res.invariant for g in group.gens)
+
+
 @pytest.mark.parametrize("gens", [
     [U1, LOWER_THIRD],  # type-R letters, unbounded: the search runs at round 4
     [QMatrix.diagonal([F(1, 3), 1])],  # the saturation ends UNBOUNDED at round 0
@@ -711,16 +729,15 @@ def test_ku_flag_answers_as_if_it_searched_first_on_the_fallback_paths(gens):
     assert _flag_outcome(ku_flag, group) == _flag_outcome(searching_first, group)
 
 
-@pytest.mark.parametrize("gens, dims, grown", [
-    ([ROT], (0, 2), 0),
-    ("eight_cycle", (0, 1, 8), 1),
+@pytest.mark.parametrize("gens, dims", [
+    ([ROT], (0, 2)),
+    ("eight_cycle", (0, 1, 8)),
     ([QMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-      QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])], (0, 1, 2, 3), 0),
+      QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])], (0, 1, 2, 3)),
 ], ids=["rotation", "eight-cycle", "heisenberg-pair"])
-def test_ku_flag_inverts_once_per_climbing_step(gens, dims, grown, request, monkeypatch):
+def test_ku_flag_inverts_once_per_climbing_step(gens, dims, request, monkeypatch):
     # one inverse per step carries the basis and the conjugates; the last
-    # quotient's saturation inverts its generators once, and only if it grows:
-    # the rotation and the heisenberg pair's identity quotient fix Z_p^n
+    # quotient's saturation inverts nothing, though the eight-cycle's grows
     gens = [request.getfixturevalue(gens)] if isinstance(gens, str) else gens
     group = GeneratorSet.of(CTX3, gens)
     calls = []
@@ -733,17 +750,20 @@ def test_ku_flag_inverts_once_per_climbing_step(gens, dims, grown, request, monk
     monkeypatch.setattr(QMatrix, "inverse", counting)
     flag = ku_flag(group)
     assert flag.dims == dims
-    assert len(calls) == (len(dims) - 2) + grown * len(gens)
+    assert len(calls) == len(dims) - 2
 
 
-@pytest.mark.parametrize("gens, rounds, inverses", [
-    ([ROT], 1, 0),
-    ([QMatrix.identity(1)], 1, 0),
-    ([U_THIRD], 2, 1),
-], ids=["rotation", "identity-quotient", "shear-by-a-third"])
-def test_a_saturation_inverts_its_generators_only_when_it_grows(gens, rounds, inverses,
-                                                                 monkeypatch):
-    # the inverses were taken before round 1, though only a grow reads them
+@pytest.mark.parametrize("gens, rounds", [
+    ([ROT], 1),
+    ([QMatrix.identity(1)], 1),
+    ([U_THIRD], 2),
+    ("eight_cycle", 8),
+], ids=["rotation", "identity-quotient", "shear-by-a-third", "eight-cycle"])
+def test_a_saturation_inverts_nothing(gens, rounds, request, monkeypatch):
+    # the sum chain grows by the generators alone: a lattice every generator
+    # maps into itself is fixed by each, and so by the inverses
+    gens = [request.getfixturevalue(gens)] if isinstance(gens, str) else gens
+    group = GeneratorSet.of(CTX3, gens)  # inverts nothing yet
     calls = []
     inverse = QMatrix.inverse
 
@@ -752,5 +772,5 @@ def test_a_saturation_inverts_its_generators_only_when_it_grows(gens, rounds, in
         return inverse(self)
 
     monkeypatch.setattr(QMatrix, "inverse", counting)
-    res = bounded_group(GeneratorSet.of(CTX3, gens))
-    assert (res.verdict, res.rounds, len(calls)) == (BOUNDED, rounds, inverses)
+    res = bounded_group(group)
+    assert (res.verdict, res.rounds, calls) == (BOUNDED, rounds, [])

@@ -7,7 +7,13 @@ dims, basis and quotient lattices, None, or the witness word. The
 families are conjugated p-power diagonals, conjugated elementary
 products, unipotents with 1/p entries and an expanding corner, at p in
 {2, 3} and n in {2, 3}. A deliberate change of any answer updates DIGEST
-and says why. It last changed when BoundednessResult lost its divisor
+and says why. It last changed when bounded_group came to grow Z_p^n by
+the generators alone (the sum chain L + sum g(L), with no inverses): the
+parent's hashed tuples diffed entry by entry against the new ones differ
+in one field of one entry of 40, the rounds of a single unipotent with
+1/3 entries at p = 3, n = 3 (entry 34), BOUNDED at round 3 for 2. Every
+verdict, invariant lattice, witness word and ku_flag answer stayed the
+same. Before that, it changed when BoundednessResult lost its divisor
 trace (the elementary divisors of each grown lattice against Z_p^n),
 which left the hashed tuple; the code before that change gives the same
 new digest on the trace-free tuple, so no answer changed. Before that,
@@ -48,7 +54,7 @@ from ppm.scale import scale_newton
 
 from test_identical_answers import _canon, _conjugator, _elementary
 
-DIGEST = "3d628c9efa360bcf53b87fb9eeff4614f9a16bcb3db77179cd2431b773016a58"
+DIGEST = "68c450d11f7efce3050710e2d82826bf8d9a8a6b4428c4d3e0959cf0831298f6"
 
 
 def _unipotent(rng, p, n):

@@ -65,10 +65,23 @@ def test_only_linalg_names_the_smith_form():
     assert found == []
 
 
+def test_containment_is_only_the_flag_re_check():
+    # saturation and invariant lattices stop where the sum chain's index is
+    # 0 (linalg.sum_chain); containment (linalg.maps_into) is named, past
+    # dynamics' import, only in _verify_flag, the independent re-check, so
+    # it never drifts back into a stop test
+    found = {(module, getattr(stmt, "name", None)) for module, tree in _trees()
+             if module in ("dynamics", "scale") for stmt in tree.body for node in ast.walk(stmt)
+             if "maps_into" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None) if isinstance(node, ast.alias) else None)}
+    assert found == {("dynamics", None), ("dynamics", "_verify_flag")}
+
+
 def test_dynamics_and_scale_recheck_no_certificate_by_a_hermite_form():
-    # invariance is certified by containment (linalg.maps_into), and the
-    # fixed spaces are eliminated on integer rows: neither module imports
-    # apply, which canonicalises the image, or rref, the Fraction interface
+    # invariance is certified by the sum chain's index and re-checked by
+    # containment, and the fixed spaces are eliminated on integer rows:
+    # neither module imports apply, which canonicalises the image, or rref,
+    # the Fraction interface
     found = [(module, alias.name) for module, tree in _trees() if module in ("dynamics", "scale")
              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names if alias.name in ("apply", "rref")]

@@ -9,8 +9,8 @@ import ppm.linalg
 import ppm.scale
 from ppm.dynamics import BOUNDED, GeneratorSet, bounded_group, type_r_matrix
 from ppm.errors import CapExceeded, Singular
-from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, grow, \
-    lattice_index, lattice_intersect, lattice_sum, newton_polygon
+from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, \
+    lattice_index, lattice_intersect, lattice_sum, newton_polygon, sum_chain
 from ppm.qpcore import PContext, vp, vp_frac
 from ppm.scale import default_iteration_cap, invariant_lattice, scale_newton, scale_tidy
 
@@ -136,27 +136,25 @@ def test_at_most_one_char_poly_per_tidy_and_per_invariant_lattice(monkeypatch):
             assert calls == ([] if query is invariant_lattice and a is steep else [a])
 
 
-def test_invariant_lattice_inverts_nothing_and_grows_at_most_n_rounds(monkeypatch):
-    # each lattice of the chain is checked by containment before it grows,
-    # so a chain grows at most n - 1 times and forms no other Hermite form;
-    # the conjugated Jordan block has 1/3 above its diagonal and takes the
-    # n - 1 grows, the bound exactly
+def test_invariant_lattice_inverts_nothing_and_grows_at_most_n_rounds(hermite_calls,
+                                                                      monkeypatch):
+    # each round of the sum chain triangularises its sum once and stops at
+    # index 0; only a round that grows reduces the sum, so a chain grows at
+    # most n - 1 times and forms no whole Hermite form; the conjugated
+    # Jordan block has 1/3 above its diagonal and takes the n - 1 grows,
+    # the bound exactly
     jordan = QMatrix([[int(j in (i, i + 1)) for j in range(4)] for i in range(4)])
     c = QMatrix.diagonal([27, 9, 3, 1]) * QMatrix([[1, 2, 0, -1], [0, 1, 1, 0], [0, 0, 1, 2],
                                                    [0, 0, 0, 1]])
     cases = [QMatrix([[1, F(1, 3)], [0, 1]]), c.inverse() * jordan * c]
-    inverses, grows, hermites = [], [], []
-    real_inverse, real_grow, real_hermite = QMatrix.inverse, ppm.scale.grow, ppm.linalg._hermite
+    inverses, calls = [], hermite_calls
+    real_inverse = QMatrix.inverse
     monkeypatch.setattr(QMatrix, "inverse", lambda m: inverses.append(m) or real_inverse(m))
-    monkeypatch.setattr(ppm.scale, "grow",
-                        lambda lat, mats: grows.append(lat) or real_grow(lat, mats))
-    monkeypatch.setattr(ppm.linalg, "_hermite",
-                        lambda p, span: hermites.append(p) or real_hermite(p, span))
-    for a, expected in zip(cases, (1, 3)):
-        grows.clear()
-        hermites.clear()
+    for a, grows in zip(cases, (1, 3)):
+        calls.update(dict.fromkeys(calls, 0))
         lat = invariant_lattice(a, CTX3)
-        assert inverses == [] and len(grows) == len(hermites) == expected <= a.n - 1
+        assert inverses == [] and grows <= a.n - 1
+        assert calls == {"triangular": grows + 1, "reduce": grows, "hermite": 0}
         assert lat is not None and apply(a, lat) == lat
 
 
@@ -244,20 +242,11 @@ def test_a_tidying_run_intersects_nothing(monkeypatch):
         assert report.scale_exponent == m and len(report.iteration_trace) == (1 if m else 2)
 
 
-def test_hermite_forms_per_tidy_call(monkeypatch):
+def test_hermite_forms_per_tidy_call(hermite_calls):
     # each step triangularises the sum F + a(F) and reduces it only when
     # the run goes on; the returned lattice is the chain's own F_k, so it
     # costs no Hermite form
-    calls = {"triangular": 0, "reduce": 0, "hermite": 0}
-
-    def counting(name, real):
-        def count(*args):
-            calls[name] += 1
-            return real(*args)
-        return count
-
-    for name in calls:
-        monkeypatch.setattr(ppm.linalg, f"_{name}", counting(name, getattr(ppm.linalg, f"_{name}")))
+    calls = hermite_calls
     for a, steps in ((QMatrix([[1, F(1, 3)], [0, 1]]), 2),
                      (QMatrix([[1, F(1, 27)], [0, 1]]), 2),
                      (QMatrix([[3, F(1, 9)], [0, 1]]), 2),
@@ -269,14 +258,14 @@ def test_hermite_forms_per_tidy_call(monkeypatch):
 
 def _reference_sum_chain(a, ctx, cap=None):
     """The forward chain F_{k+1} = F_k + a(F_k) from Z_p^n with every sum a
-    whole Hermite form (grow), each index v(det F_k) - v(det F_{k+1}) read
+    canonical lattice (lattice_sum), each index v(det F_k) - v(det F_{k+1}) read
     off two canonical lattices, and F_k returned at the scale."""
     target = scale_newton(a, ctx)
     if cap is None:
         cap = default_iteration_cap(char_poly_valuations(a, ctx.p), a.n)
     cur, trace = Lattice.standard(ctx, a.n), []
     for k in range(cap + 1):
-        grown = grow(cur, [a])
+        grown = lattice_sum(cur, apply(a, cur))
         trace.append((k, cur.det_valuation() - grown.det_valuation()))
         if trace[-1][1] == target:
             return target, cur, tuple(trace)
@@ -288,18 +277,18 @@ def _reference_sum_chain(a, ctx, cap=None):
 @given(invertible())
 def test_law_a_tidying_index_read_off_the_sum_is_the_index_of_the_intersection(case):
     """[L + a(L) : L] = [a(L) : L ^ a(L)] at every lattice of a tidying run,
-    and grow(L, [a]) is the sum L + a(L). scale_tidy, which reduces only the
-    sums its chain goes on from, reports the scale, the trace and the lattice
-    of the chain that canonicalises every sum."""
+    and sum_chain's first step from L reads it off. scale_tidy, which reduces
+    only the sums its chain goes on from, reports the scale, the trace and
+    the lattice of the chain that canonicalises every sum."""
     a, ctx = case
     report = scale_tidy(a, ctx)
     lat = Lattice.standard(ctx, a.n)
     for _ in range(len(report.iteration_trace)):
         image = apply(a, lat)
         meet = lattice_intersect(image, lat)
-        grown = grow(lat, [a])
-        assert grown == lattice_sum(lat, image)
-        assert lat.det_valuation() - grown.det_valuation() == lattice_index(image, meet)
+        grown = lattice_sum(lat, image)
+        assert next(sum_chain(lat, [a]))[1] == lat.det_valuation() - grown.det_valuation() \
+            == lattice_index(image, meet)
         lat = meet
     assert (report.scale_exponent, report.minimizing_lattice, report.iteration_trace) \
         == _reference_sum_chain(a, ctx)
