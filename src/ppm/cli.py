@@ -76,7 +76,6 @@ def _parser() -> argparse.ArgumentParser:
     s = sub.add_parser("order", parents=[common], help="pro-order of a catalog compact group")
     s.add_argument("group", choices=list(CATALOG_ORDERS))
     s.add_argument("-n", type=int, default=1)
-    s.add_argument("--level", type=int, default=1)
 
     s = sub.add_parser("root", parents=[common], help="k-th root extraction")
     s.add_argument("--kind", required=True, choices=["unipotent", "congruence", "finite", "axb"])
@@ -189,7 +188,7 @@ def _cmd_flag(args) -> int:
 def _cmd_order(args) -> int:
     if args.p is None:
         raise InputError("order needs -p")
-    value = ord_catalog(args.group, args.p, n=args.n, level=args.level)
+    value = ord_catalog(args.group, args.p, n=args.n)
     _emit(args, {"group": args.group, "p": args.p, "n": args.n, "order": str(value)},
           str(value))
     return EXIT_OK

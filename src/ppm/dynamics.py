@@ -195,10 +195,6 @@ class FlagDecomposition:
     quotient_lattices: tuple
     conjugated_gens: tuple
 
-    @property
-    def steps(self) -> int:
-        return len(self.dims) - 1
-
     def block(self, mat: QMatrix, i: int) -> QMatrix:
         return mat.block(self.dims[i], self.dims[i + 1])
 

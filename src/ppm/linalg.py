@@ -1,11 +1,11 @@
 """Exact matrices over Q, Newton polygons, and Z_p-lattice arithmetic.
 
 Every Gaussian elimination over Q goes through one fraction-free integer
-kernel, ``eliminate``, on integer rows: ``rref`` runs it on rational rows
-and returns the reduced row echelon form, the pivot columns and the
-determinant, all exact; determinants, inverses and nullspaces
-(``dynamics.common_fixed_space``) run it on QMatrix integer views. The
-reduced form is unique, and so are their results. Characteristic
+kernel, ``eliminate``, on integer rows: determinants, inverses and
+nullspaces (``dynamics.common_fixed_space``) run it on QMatrix integer
+views and read exact results off its rows, pivot columns and determinant.
+Its rows up to the rank are the reduced row echelon form times the last
+pivot, which is unique, and so are their results. Characteristic
 polynomials run on the integer view too (``_berkowitz``), and
 ``char_poly_valuations`` reads their coefficients' valuations with no
 Fraction built.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -47,12 +47,15 @@ def _cleared(vec):
 
 def eliminate(m, width, det_only=False):
     """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on integer
-    rows m, in place, with rref's pivot search. The pivot P_k in row r
-    turns every other row x into (P_k x - x_c top) / P_(k-1); entries stay
-    minors of the input, so the division is exact, and every pivot row
-    ends with the last pivot P at its pivot. Returns (pivot columns,
-    order, det): order[i] is the input row now at i; det, for a square
-    block, is P signed by the row swaps, or 0 without a full rank.
+    rows m, in place. Pivots are sought in the first width columns, top
+    down; later columns are carried along, as for augmented systems. The
+    pivot P_k in row r turns every other row x into (P_k x - x_c top) /
+    P_(k-1); entries stay minors of the input, so the division is exact,
+    and every pivot row ends with the last pivot P at its pivot. Returns
+    (pivot columns, order, det): order[i] is the input row now at i; det,
+    for a square block, is P signed by the row swaps, or 0 without a full
+    rank. det_only clears below each pivot only and stops at the first
+    column without a pivot.
     """
     order = list(range(len(m)))
     pivots, prev, sign, r = [], 1, 1, 0
@@ -76,28 +79,6 @@ def eliminate(m, width, det_only=False):
         if r == len(m):
             break
     return pivots, order, sign * prev if len(pivots) == width else 0
-
-
-def rref(rows, width=None, det_only=False):
-    """Gauss-Jordan elimination over Q on a copy of rows.
-
-    Pivots are sought in the first width columns (default: all), top
-    down; columns past width are carried along, as for augmented
-    systems. Returns (reduced rows, pivot columns, det), where det is
-    the determinant of the first width columns when they form a square
-    block. det_only clears below each pivot only, leaving the rows in
-    echelon form, and stops at the first column without a pivot (det 0).
-    Runs eliminate on the rows cleared of their denominators (which keeps
-    the reduced form), then divides each row back by P (rows past the rank
-    also by their own scale) and det by the scales.
-    """
-    scales, m = map(list, zip(*map(_cleared, rows)))
-    width = len(m[0]) if width is None else width
-    pivots, order, det = eliminate(m, width, det_only)
-    last, rank = (m[len(pivots) - 1][pivots[-1]] if pivots else 1), len(pivots)
-    reduced = [[Fraction(x, last if i < rank else last * scales[order[i]]) for x in row]
-               for i, row in enumerate(m)]
-    return reduced, pivots, Fraction(det, prod(scales))
 
 
 def _lowest_terms(d: int, nums) -> tuple:
@@ -317,15 +298,6 @@ class NewtonPolygon:
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.slopes) + self.infinite_count
-
-    def all_zero(self) -> bool:
-        return self.infinite_count == 0 and all(s == 0 for s, _ in self.slopes)
-
-    def expanded(self):
-        out = []
-        for s, m in self.slopes:
-            out.extend([s] * m)
-        return out
 
 
 def newton_polygon(poly, ctx: PContext) -> NewtonPolygon:

@@ -57,7 +57,11 @@ def mat_pow(a: Mat, e: int, mod: int) -> Mat:
 def rref_mod(rows, p: int, width=None, det_only=False):
     """Gauss-Jordan elimination over F_p on a copy of rows, reduced mod p.
 
-    Same contract as ``linalg.rref`` over Q, with det returned mod p.
+    Pivots are sought top down in the first width columns (default: all);
+    later columns are carried along, as for augmented systems. Returns
+    (reduced rows, pivot columns, det mod p of a square first-width block).
+    det_only leaves the rows in echelon form and stops at the first column
+    without a pivot (det 0).
     """
     m = [[x % p for x in row] for row in rows]
     width = len(m[0]) if width is None else width

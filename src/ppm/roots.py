@@ -36,6 +36,8 @@ class PadicApproxMatrix:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
+        if not self.entries or any(len(row) != len(self.entries) for row in self.entries):
+            raise ValueError("matrix must be square and non-empty")
         modmat.require_ints(self.entries)
         mod = self.ctx.p ** self.level
         ent = modmat.reduce_mat(self.entries, mod)
@@ -161,13 +163,10 @@ def congruence_root(a, k: int, ctx: Optional[PContext] = None,
     p, n = ctx.p, a.n
     if gcd(k, p) != 1:
         raise PDividesK(f"gcd({k}, {p}) != 1")
-    base = 2 if p == 2 else 1
     ident = modmat.identity_mat(n)
-    start_mod = p ** base
+    start_mod = 4 if p == 2 else p
     if modmat.reduce_mat(a.entries, start_mod) != ident:
         raise BadDomain(f"matrix is not congruent to 1 mod {start_mod}")
-    if level <= base:
-        return RootResult.found(PadicApproxMatrix(ctx, level, ident))
     mod = p ** level
     y = modmat.inverse_root(a.entries, k, ident, p, level)
     x = modmat.mat_mul(a.entries, modmat.mat_pow(y, k - 1, mod), mod)

@@ -155,15 +155,15 @@ CATALOG_ORDERS = {
 }
 
 
-def ord_catalog(group: str, p: int, n: int = 1, level: int = 1) -> Supernatural:
+def ord_catalog(group: str, p: int, n: int = 1) -> Supernatural:
     """Pro-order of a catalog compact group: its finite part in
     CATALOG_ORDERS times p^inf, e.g. 2^4 · 3^inf for GLn_Zp at n = 2, p = 3.
-    The dimension n and the congruence level must be >= 1."""
+    The dimension n must be >= 1, and 1 for UnitsZp and AdditiveZp."""
     finite = CATALOG_ORDERS.get(group)
     if finite is None:
         raise UnknownCatalogEntry(f"no catalog group named {group!r}")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if level < 1:
-        raise ValueError("congruence level must be >= 1")
+    if n != 1 and group in ("UnitsZp", "AdditiveZp"):
+        raise ValueError(f"{group} does not take a dimension")
     return finite(p, n) * Supernatural((), (p,))

@@ -1,4 +1,4 @@
-"""Inputs and counters shared by several test modules."""
+"""Inputs, counters and references shared by several test modules."""
 from fractions import Fraction as F
 
 import pytest
@@ -44,3 +44,31 @@ def steep_symmetric():
         return [QMatrix([[F(3) ** (exps[j] - exps[i]) if perm[i] == j else 0
                           for j in range(n)] for i in range(n)]) for perm in perms]
     return gens
+
+
+def reference_rref(rows, width=None):
+    """Gauss-Jordan in Fractions, each pivot row scaled to a unit pivot:
+    an independent reference for the fraction-free kernel."""
+    m = [[F(x) for x in row] for row in rows]
+    width = len(m[0]) if width is None else width
+    pivots, det, r = [], F(1), 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            det = F(0)
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        top = m[r]
+        det *= top[c]
+        top[c:] = [x / top[c] for x in top[c:]]
+        for i, row in enumerate(m):
+            if i != r and row[c] != 0:
+                f = row[c]
+                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, det

@@ -324,7 +324,7 @@ def test_internal_invariant_sweep():
                     inv = flag.flag_basis.inverse()
                     for g in group.gens:
                         conj = inv * g * flag.flag_basis
-                        for i in range(flag.steps):
+                        for i in range(len(flag.dims) - 1):
                             hi = flag.dims[i + 1]
                             for r in range(hi, group.n):
                                 for c in range(flag.dims[i], hi):

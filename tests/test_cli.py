@@ -279,6 +279,16 @@ def test_malformed_catalog_numbers_are_input_errors(capsys):
     capsys.readouterr()
 
 
+def test_order_rejects_a_dimension_where_analyze_does(capsys):
+    # ppm order UnitsZp -n 5 -p 3 printed 2 · 3^inf and exited 0
+    for name in ("UnitsZp", "AdditiveZp"):
+        assert main(["order", name, "-n", "5", "-p", "3"]) == EXIT_INPUT
+        assert "does not take a dimension" in capsys.readouterr().err
+        assert main(["analyze", f"{name}(2)", "-p", "3", "-k", "2"]) == EXIT_INPUT
+    assert main(["order", "PrincipalCongruence", "-p", "3", "--level", "2"]) == EXIT_INPUT
+    capsys.readouterr()
+
+
 def test_oracle_command_rejects_a_non_positive_k_with_one_message(integral_gens_file, capsys):
     for k in ("0", "-2"):
         assert main(["oracle", integral_gens_file, "--level", "1", "-k", k]) == EXIT_INPUT

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+from conftest import reference_rref
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ppm.dynamics
@@ -14,7 +15,7 @@ from ppm.dynamics import BOUNDED, INCONCLUSIVE, GeneratorSet, UNBOUNDED, Witness
     type_r_witness_search
 from ppm.errors import NotTypeR, Singular
 from ppm.linalg import Lattice, QMatrix, apply, char_poly, char_poly_valuations, \
-    elementary_divisors, eliminate, lattice_sum, rref
+    elementary_divisors, eliminate, lattice_sum
 from ppm.qpcore import PContext, vp, vp_frac
 from ppm.scale import invariant_lattice, scale_newton, type_r
 
@@ -252,9 +253,9 @@ def test_flag_three_step_tower():
     heis_b = QMatrix([[1, 0, 0], [0, 1, F(1, 3)], [0, 0, 1]])
     flag = ku_flag(GeneratorSet.of(CTX3, [heis_a, heis_b]))
     assert flag.dims[0] == 0 and flag.dims[-1] == 3
-    assert flag.steps >= 2  # the fixed-space tower refines at least once
+    assert len(flag.dims) >= 3  # the fixed-space tower refines at least once
     for conj in flag.conjugated_gens:
-        for i in range(flag.steps):
+        for i in range(len(flag.dims) - 1):
             hi = flag.dims[i + 1]
             for r in range(hi, 3):
                 for c in range(flag.dims[i], hi):
@@ -401,7 +402,7 @@ def reference_fixed_space(group):
     ident = QMatrix.identity(group.n)
     for g in group.gens:
         stacked.extend((g - ident).rows)
-    m, pivots, _ = rref(stacked)
+    m, pivots, _ = reference_rref(stacked)
     basis = []
     for c in range(group.n):
         if c in pivots:
@@ -453,7 +454,7 @@ def test_flag_certificates_on_random_integral_groups():
         binv = flag.flag_basis.inverse()
         for g in group.gens:
             conj = binv * g * flag.flag_basis
-            for i in range(flag.steps):
+            for i in range(len(flag.dims) - 1):
                 assert apply(flag.block(conj, i), flag.quotient_lattices[i]) \
                     == flag.quotient_lattices[i]
 
@@ -500,7 +501,7 @@ def _greedy_completion(cols, n):
     chosen = [list(c) for c in cols]
     for j in range(n):
         e = [F(int(i == j)) for i in range(n)]
-        if len(rref(chosen + [e])[1]) == len(chosen) + 1:
+        if len(reference_rref(chosen + [e])[1]) == len(chosen) + 1:
             chosen.append(e)
     return QMatrix.from_columns(chosen)
 

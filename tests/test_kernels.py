@@ -1,17 +1,19 @@
-"""Laws of the two elimination kernels (linalg.rref over Q, modmat.rref_mod
-over F_p) and of what is read off them, checked against independent
-arithmetic: Berkowitz char polys, Leibniz minors and brute force."""
+"""Laws of the two elimination kernels (linalg.eliminate over Q, on integer
+rows, and modmat.rref_mod over F_p) and of what is read off them, checked
+against independent arithmetic: the Fraction Gauss-Jordan reference_rref,
+Berkowitz char polys, Leibniz minors and brute force."""
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import lcm
 
 import pytest
+from conftest import reference_rref
 from hypothesis import given, settings, strategies as st
 
 from ppm import modmat
 from ppm.dynamics import GeneratorSet, common_fixed_space, type_r_matrix
 from ppm.errors import Singular
-from ppm.linalg import QMatrix, char_poly, newton_polygon, rref
+from ppm.linalg import QMatrix, char_poly, eliminate, newton_polygon
 from ppm.qpcore import PContext
 from ppm.roots import _row_reduced, _solutions
 
@@ -58,34 +60,6 @@ def minor_rank(rows):
 
 # ---- over Q ---------------------------------------------------------------
 
-def reference_rref(rows, width=None):
-    """Gauss-Jordan in Fractions, each pivot row scaled to a unit pivot:
-    an independent reference for the fraction-free kernel."""
-    m = [[F(x) for x in row] for row in rows]
-    width = len(m[0]) if width is None else width
-    pivots, det, r = [], F(1), 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            det = F(0)
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        top = m[r]
-        det *= top[c]
-        top[c:] = [x / top[c] for x in top[c:]]
-        for i, row in enumerate(m):
-            if i != r and row[c] != 0:
-                f = row[c]
-                row[c:] = [x - f * y for x, y in zip(row[c:], top[c:])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots, det
-
-
 wide_entries = st.one_of(entries, st.integers(-9, 9),
                          st.fractions(min_value=-40, max_value=40, max_denominator=30))
 
@@ -106,37 +80,36 @@ def systems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(system=systems())
-def test_rref_matches_the_fraction_reference(system):
+def test_eliminate_matches_the_fraction_reference(system):
+    # on the rows cleared of their denominators: the reference's pivots, its
+    # rows up to the rank times the last pivot P, and its square determinant
     rows, width = system
-    got, pivots, det = rref(rows, width)
-    want, want_pivots, want_det = reference_rref(rows, width)
-    assert (got, pivots) == (want, want_pivots)
-    assert all(type(x) is F for row in got for x in row)
+    ints = [[int(x * d) for x in row] for row in rows
+            for d in [lcm(*(x.denominator for x in row))]]
+    want, want_pivots, want_det = reference_rref(ints, width)
+    m = [row[:] for row in ints]
+    pivots, order, det = eliminate(m, width)
+    rank, last = len(pivots), m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    assert pivots == want_pivots and sorted(order) == list(range(len(m)))
+    assert m[:rank] == [[last * x for x in row] for row in want[:rank]]
+    assert all(type(x) is int for row in m for x in row)
     if len(rows) == width:  # det is defined for a square block only
-        assert det == want_det and type(det) is F
-        assert rref(rows, width, det_only=True)[2] == want_det
+        assert det == want_det
+        assert eliminate([row[:] for row in ints], width, det_only=True)[2] == want_det
 
 
-def test_rref_is_exact_on_integer_rows():
+def test_eliminate_is_exact_on_integer_rows():
     # a pivot inverted as 1 / int would give floats
-    got, pivots, det = rref([[2, 1], [1, 1]])
-    assert (got, pivots, det) == ([[1, 0], [0, 1]], [0, 1], 1)
-    assert type(det) is F and all(type(x) is F for row in got for x in row)
+    m = [[2, 1], [1, 1]]
+    assert eliminate(m, 2) == ([0, 1], [0, 1], 1) and m == [[1, 0], [0, 1]]
+    assert all(type(x) is int for row in m for x in row)
     assert type(QMatrix([[2, 1], [1, 1]]).det()) is F
-
-
-def test_rows_past_the_rank_keep_their_augmented_part():
-    # inconsistent: 2 (x + 2y) = 6, yet the second equation asks for 7
-    got, pivots, det = rref([[1, 2, 3], [2, 4, 7]], width=2)
-    assert (got, pivots, det) == ([[1, 2, 3], [0, 0, 1]], [0], 0)
-    got, pivots, _ = rref([[F(1, 3), F(2, 3), 1], [F(1, 2), 1, F(5, 2)]], width=2)
-    assert (got, pivots) == ([[1, 2, 3], [0, 0, 1]], [0])
 
 
 def test_no_fraction_arithmetic_in_elimination(monkeypatch):
     a = QMatrix([[F(1, 3), 2, 0], [F(-5, 2), 1, F(1, 7)], [4, F(2, 9), 1]])
     rows = [list(row) for row in a.rows]
-    want = reference_rref(rows), a.det(), a.inverse()
+    want = a.det(), a.inverse()
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in the kernel")
@@ -145,7 +118,7 @@ def test_no_fraction_arithmetic_in_elimination(monkeypatch):
                  "__truediv__", "__rtruediv__", "__neg__"):
         monkeypatch.setattr(F, name, refuse)
     fresh = QMatrix(rows)
-    assert (rref(rows), fresh.det(), fresh.inverse()) == want
+    assert (fresh.det(), fresh.inverse()) == want
 
 
 @st.composite
@@ -224,7 +197,8 @@ def type_r_reference(a, ctx):
     """The definition type_r_matrix replaced: a flat Newton polygon."""
     if a.det() == 0:
         raise Singular("type R is only defined for invertible matrices")
-    return newton_polygon(char_poly(a), ctx).all_zero()
+    polygon = newton_polygon(char_poly(a), ctx)
+    return polygon.infinite_count == 0 and all(s == 0 for s, _ in polygon.slopes)
 
 
 @SETTINGS

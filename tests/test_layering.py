@@ -1,6 +1,6 @@
 """Only ``linalg`` knows how a QMatrix or a Lattice is stored or names the
-Smith form, and no module imports another module's private (underscore)
-names."""
+Smith form, no module imports another module's private (underscore)
+names, and every module-level function has a reader."""
 import ast
 import importlib
 import importlib.util
@@ -80,11 +80,10 @@ def test_containment_is_only_the_flag_re_check():
 def test_dynamics_and_scale_recheck_no_certificate_by_a_hermite_form():
     # invariance is certified by the sum chain's index and re-checked by
     # containment, and the fixed spaces are eliminated on integer rows:
-    # neither module imports apply, which canonicalises the image, or rref,
-    # the Fraction interface
+    # neither module imports apply, which canonicalises the image
     found = [(module, alias.name) for module, tree in _trees() if module in ("dynamics", "scale")
              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             for alias in node.names if alias.name in ("apply", "rref")]
+             for alias in node.names if alias.name == "apply"]
     assert found == []
 
 
@@ -97,15 +96,20 @@ def test_no_solver_imports_the_fraction_char_poly():
     assert found == []
 
 
-def test_every_name_the_benchmark_traces_resolves():
-    # a traced perfbench run patches each of these names and fails on a
-    # missing one
+def _traced_names():
+    """(layer, attribute) of each name a traced perfbench run patches."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
     names = [(layer, attr) for layer, attrs in layertrace.SPANS.items() for attr in attrs]
-    names += list(layertrace.COUNTERS.values())
+    return names + list(layertrace.COUNTERS.values())
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # a traced perfbench run patches each of these names and fails on a
+    # missing one
+    names = _traced_names()
     missing = []
     for layer, attr in names:
         holder = vars(importlib.import_module(f"ppm.{layer}"))
@@ -117,3 +121,23 @@ def test_every_name_the_benchmark_traces_resolves():
             missing.append((layer, attr))
     assert missing == []
     assert {("dynamics", "common_fixed_space"), ("linalg", "apply")} <= set(names)
+
+
+def test_every_module_function_has_a_reader():
+    # a module-level function is named somewhere in the package outside its
+    # own definition (the package's re-exports count), or traced by the
+    # benchmark; one that nothing reads is deleted, not kept
+    trees = dict(_trees())
+    named = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            named |= {name for node in ast.walk(stmt)
+                      for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   node.name if isinstance(node, ast.alias) else None)
+                      if name and name != own}
+    traced = set(_traced_names())
+    unread = [(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name not in named
+              and (module, stmt.name) not in traced]
+    assert unread == []

@@ -319,6 +319,14 @@ def test_a_non_positive_level_is_rejected():
                 solve(((4,),), 1, CTX3, level)
 
 
+@pytest.mark.parametrize("entries", [((1, 0), (0, 1), (0, 0)), ((),), (), ((1, 2), (3,))],
+                         ids=["three-by-two", "one-by-zero", "empty", "ragged"])
+def test_residue_entries_that_are_not_square_are_rejected(entries):
+    # the first two passed as "invertible mod p", the last two raised IndexError
+    with pytest.raises(ValueError, match="square and non-empty"):
+        PadicApproxMatrix(CTX3, 2, entries)
+
+
 def test_residue_entries_that_are_not_integers_are_rejected():
     # 7/2 = 16 mod 25 was truncated to 3
     for entry in (F(7, 2), 3.0, True, F(3)):

@@ -76,24 +76,25 @@ def test_ord_catalog_examples():
     assert ord_catalog("UnitsZp", 5) == sn([(2, 2)], [5])
     assert ord_catalog("UnitsZp", 2) == sn([], [2])  # Z/2 x Z_2, the even-prime trap
     assert ord_catalog("AdditiveZp", 2) == sn([], [2])
-    assert ord_catalog("PrincipalCongruence", 7, n=3, level=2) == sn([], [7])
+    assert ord_catalog("PrincipalCongruence", 7, n=3) == sn([], [7])
     with pytest.raises(UnknownCatalogEntry):
         ord_catalog("Sporadic", 3)
 
 
 def test_open_subgroup_order_law():
     # Ord(K) = [K : L] * Ord(L) for the principal congruence subgroup of
-    # level m inside GL(n, Z_p), and for 1 + pZ_p inside the units
+    # level m inside GL(n, Z_p), and for 1 + pZ_p inside the units; the
+    # subgroup's pro-order is the same at every level m
     for p in (2, 3, 5):
         for n in (1, 2):
             for m in (1, 2, 3):
                 k_ord = ord_catalog("GLn_Zp", p, n=n)
-                l_ord = ord_catalog("PrincipalCongruence", p, n=n, level=m)
+                l_ord = ord_catalog("PrincipalCongruence", p, n=n)
                 index = general_linear_order(n, p) * p ** (n * n * (m - 1))
                 assert index * l_ord == k_ord
     for p in (3, 5):
         assert (p - 1) * ord_catalog("PrincipalCongruence", p) == ord_catalog("UnitsZp", p)
-    assert 2 * ord_catalog("PrincipalCongruence", 2, level=2) == ord_catalog("UnitsZp", 2)
+    assert 2 * ord_catalog("PrincipalCongruence", 2) == ord_catalog("UnitsZp", 2)
 
 
 def test_profinite_surjective_examples():
@@ -120,6 +121,14 @@ def test_ord_catalog_rejects_a_dimension_below_one():
     for name in ("GLn_Zp", "UnitsZp", "AdditiveZp", "PrincipalCongruence"):
         for n in (0, -1):
             with pytest.raises(ValueError):
+                ord_catalog(name, 3, n=n)
+
+
+def test_ord_catalog_rejects_a_dimension_for_the_groups_that_take_none():
+    # UnitsZp(2) is an input error in the analyzer, yet ord_catalog answered
+    for name in ("UnitsZp", "AdditiveZp"):
+        for n in (2, 5):
+            with pytest.raises(ValueError, match="does not take a dimension"):
                 ord_catalog(name, 3, n=n)
 
 
