@@ -2,6 +2,12 @@
 
 Matrices are tuples of tuples of ints, entries reduced mod p^m.
 
+Every product mod p^m goes through ``mat_mul``. For n x n operands with
+n <= 4 it runs a straight-line kernel, one unpack-multiply-reduce
+expression compiled on first use of each n; larger n run a comprehension
+over the columns. A kernel's compile time and memory grow as n^3, which
+the few products of larger n would not repay.
+
 Every Gaussian elimination over F_p goes through one kernel,
 ``rref_mod``: it returns the reduced row echelon form mod p, the pivot
 columns and the determinant mod p. Determinants, inverses mod p and the
@@ -12,6 +18,7 @@ iteration, ``inverse_root``.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -34,7 +41,46 @@ def identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+# Products of n x n operands with n <= _UNROLLED run a compiled straight-line
+# kernel. Its source holds 2n^2 names and n^3 products, so its compile time
+# and memory grow as n^3: 0.7-3.1 ms and at most 158 KiB up to n = 4, but
+# 19 ms and 1 MiB at n = 9, 95 ms and 5.5 MiB at n = 16 (CPython 3.11 on a
+# 2 vCPU Linux host). Larger products are rare: a perfbench `modular` pass
+# makes 10 of its 12,085 at n = 9, on the Ad-sum operators of 3 x 3 roots.
+_UNROLLED = 4
+
+
+@cache
+def _product(n: int):
+    """The n x n product mod `mod` as one unpack-multiply-reduce expression,
+    compiled on first use, as dataclasses builds __init__. Unpacking raises
+    ValueError on operands of any other shape."""
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    b = [[f"b{i}_{j}" for j in range(n)] for i in range(n)]
+    sums = [[f"({' + '.join(f'{a[i][t]} * {b[t][j]}' for t in range(n))}) % mod"
+             for j in range(n)] for i in range(n)]
+
+    def matrix(cells):  # a tuple-of-tuples display, or an unpacking target
+        return "(" + "".join(f"({', '.join(row)},), " for row in cells) + ")"
+
+    source = (f"def product(a, b, mod):\n    {matrix(a)} = a\n    {matrix(b)} = b\n"
+              f"    return {matrix(sums)}\n")
+    namespace = {}
+    exec(compile(source, f"<modmat product {n}x{n}>", "exec"), namespace)
+    return namespace["product"]
+
+
 def mat_mul(a: Mat, b: Mat, mod: int) -> Mat:
+    """a b reduced mod `mod`, for square a and b of one size n (n >= 0);
+    ValueError on any other pair."""
+    n = len(a)
+    if 0 < n <= _UNROLLED:
+        try:
+            return _product(n)(a, b, mod)
+        except ValueError:
+            raise ValueError("mat_mul needs two square operands of one size") from None
+    if len(b) != n or any(len(row) != n for m in (a, b) for row in m):
+        raise ValueError("mat_mul needs two square operands of one size")
     bt = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) % mod for col in bt]) for row in a])
 

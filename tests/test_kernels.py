@@ -1,7 +1,8 @@
 """Laws of the two elimination kernels (linalg.eliminate over Q, on integer
-rows, and modmat.rref_mod over F_p) and of what is read off them, checked
-against independent arithmetic: the Fraction Gauss-Jordan reference_rref,
-Berkowitz char polys, Leibniz minors and brute force."""
+rows, and modmat.rref_mod over F_p), of what is read off them and of the
+products mod p^m (modmat.mat_mul), checked against independent arithmetic:
+the Fraction Gauss-Jordan reference_rref, Berkowitz char polys, Leibniz
+minors, a triple loop and brute force."""
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import lcm
@@ -262,6 +263,45 @@ def test_mat_inv_round_trips_above_level_one(case, level):
     ident = modmat.identity_mat(len(a))
     assert modmat.mat_mul(a, inv, mod) == ident
     assert modmat.mat_mul(inv, a, mod) == ident
+
+
+@st.composite
+def product_cases(draw):
+    """A modulus p^m and two n x n operands, n on both sides of mat_mul's
+    unroll limit, with unreduced and negative entries."""
+    mod = draw(primes) ** draw(st.integers(1, 30))
+    n = draw(st.integers(1, 6))
+    cell = st.integers(-3 * mod, 3 * mod)
+    return mod, draw(square(n, cell)), draw(square(n, cell))
+
+
+def reference_product(a, b, mod):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for t in range(n):
+                out[i][j] += a[i][t] * b[t][j]
+    return tuple(tuple(x % mod for x in row) for row in out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=product_cases())
+def test_mat_mul_matches_the_triple_loop(case):
+    mod, a, b = case
+    assert modmat.mat_mul(a, b, mod) == reference_product(a, b, mod)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6])  # kernels up to 4, the comprehension above
+def test_mat_mul_rejects_operands_that_are_not_square_of_one_size(n):
+    with pytest.raises(ValueError):  # zip used to drop the unmatched column
+        modmat.mat_mul(((1, 2), (3, 4)), ((1,),), 5)
+    one = modmat.identity_mat(n)
+    for bad in (modmat.identity_mat(n + 1), one[:-1], tuple(row[:-1] for row in one),
+                (*one[:-1], (*one[-1], 0))):
+        for a, b in ((one, bad), (bad, one)):
+            with pytest.raises(ValueError):
+                modmat.mat_mul(a, b, 5)
 
 
 @st.composite

@@ -1,9 +1,13 @@
 """Only ``linalg`` knows how a QMatrix or a Lattice is stored or names the
 Smith form, no module imports another module's private (underscore)
-names, and every module-level function has a reader."""
+names, only ``modmat``'s product builder compiles code, and every
+module-level function has a reader."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ppm
@@ -94,6 +98,24 @@ def test_no_solver_imports_the_fraction_char_poly():
              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names if alias.name == "char_poly"]
     assert found == []
+
+
+def test_only_the_product_builder_compiles_code():
+    # modmat._product compiles mat_mul's straight-line kernels; nothing
+    # else in the package runs exec, eval or compile
+    found = {(module, getattr(stmt, "name", None)) for module, tree in _trees()
+             for stmt in tree.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and node.id in {"exec", "eval", "compile"}}
+    assert found == {("modmat", "_product")}
+
+
+def test_importing_ppm_compiles_no_product_kernel():
+    # kernels compile on first use, so a benchmark worker's set-up time
+    # does not absorb them
+    code = "import ppm, ppm.modmat; print(ppm.modmat._product.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "0"
 
 
 def _traced_names():

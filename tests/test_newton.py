@@ -158,14 +158,25 @@ def test_square_and_multiply_makes_no_wasted_product(monkeypatch):
     assert modmat.mat_pow(((10, 11), (12, 13)), 1, 9) == ((1, 2), (3, 4))
 
 
-def test_powers_agree_with_repeated_products():
-    a = ((1, 2, 0), (3, 5, 7), (2, 0, 1))
-    out = modmat.identity_mat(3)
+# sizes on both sides of mat_mul's unroll limit; det != 0, so each q below is invertible
+POWER_BASES = {
+    1: ((-3,),),
+    2: ((1, 2), (3, -5)),
+    3: ((1, 2, 0), (3, 5, 7), (2, 0, 1)),
+    4: ((2, -1, 0, 3), (1, 4, 2, 0), (0, 3, -2, 1), (5, 0, 1, 1)),
+    5: ((1, 0, 2, 0, -1), (3, 1, 0, 4, 0), (0, -2, 1, 0, 3), (2, 0, 0, 1, 1), (0, 1, 3, -1, 2)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(POWER_BASES))
+def test_powers_agree_with_repeated_products(n):
+    a = POWER_BASES[n]
+    out = modmat.identity_mat(n)
     for e in range(40):
         assert modmat.mat_pow(a, e, 25) == out
         out = modmat.mat_mul(out, a, 25)
-    q = QMatrix([[1, F(1, 2)], [3, -1]])
-    out = QMatrix.identity(2)
+    q = QMatrix([[F(x, 2) for x in row] for row in a])
+    out = QMatrix.identity(n)
     for e in range(20):
         assert q ** e == out
         assert q ** -e == out.inverse()
