@@ -2,11 +2,13 @@
 
 Matrices are tuples of tuples of ints, entries reduced mod p^m.
 
-Every product mod p^m goes through ``mat_mul``. For n x n operands with
-n <= 4 it runs a straight-line kernel, one unpack-multiply-reduce
-expression compiled on first use of each n; larger n run a comprehension
-over the columns. A kernel's compile time and memory grow as n^3, which
-the few products of larger n would not repay.
+Every product mod p^m goes through this module: ``mat_mul`` for n x n
+operands, ``row_images`` for the rows v -> (v g_1, ..., v g_c) that the
+oracle's row orbit maps by c generators at once. For n <= 4 each runs a
+straight-line kernel, one unpack-multiply-reduce expression compiled on
+first use of each n (and c) by one builder, ``_product``; larger n run a
+comprehension over the columns. A kernel's compile time and memory grow as
+n^3, or c n^2, which the few products of larger n would not repay.
 
 Every Gaussian elimination over F_p goes through one kernel,
 ``rref_mod``: it returns the reduced row echelon form mod p, the pivot
@@ -47,26 +49,46 @@ def identity_mat(n: int) -> Mat:
 # 19 ms and 1 MiB at n = 9, 95 ms and 5.5 MiB at n = 16 (CPython 3.11 on a
 # 2 vCPU Linux host). Larger products are rare: a perfbench `modular` pass
 # makes 10 of its 12,085 at n = 9, on the Ad-sum operators of 3 x 3 roots.
+# Row kernels (``row_images``) have the same limit. The kernel for c
+# generators holds c n^2 products, so its cost grows as c n^2: 0.1-0.3 ms up
+# to n = 3 with 3 generators, 1.8 ms and 39 KiB kept at n = 4 with 13 (GL(4)'s
+# generators), but 141 ms and 1.5 MiB at n = 9 with 72, where it runs a row
+# only 1.4x faster. The oracle's row orbits are of n <= 2 with 2-4 generators
+# in a perfbench `modular` pass.
 _UNROLLED = 4
 
 
 @cache
-def _product(n: int):
-    """The n x n product mod `mod` as one unpack-multiply-reduce expression,
-    compiled on first use, as dataclasses builds __init__. Unpacking raises
-    ValueError on operands of any other shape."""
-    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-    b = [[f"b{i}_{j}" for j in range(n)] for i in range(n)]
-    sums = [[f"({' + '.join(f'{a[i][t]} * {b[t][j]}' for t in range(n))}) % mod"
-             for j in range(n)] for i in range(n)]
+def _product(n: int, count: int = 0):
+    """A kernel mod `mod` built as one unpack-multiply-reduce expression and
+    compiled on first use, as dataclasses builds __init__. With count = 0 it is
+    the n x n product, product(a, b, mod); with count = c >= 1 it is
+    product(gens, mod), which binds c n x n generators g_1, ..., g_c and returns
+    the row map v -> (v g_1, ..., v g_c). Unpacking raises ValueError on
+    operands of any other shape."""
+    def names(x):
+        return [[f"{x}{i}_{j}" for j in range(n)] for i in range(n)]
+
+    def times(rows, b):  # each row times the matrix b, its cells reduced mod `mod`
+        return [[f"({' + '.join(f'{row[t]} * {b[t][j]}' for t in range(n))}) % mod"
+                 for j in range(n)] for row in rows]
 
     def matrix(cells):  # a tuple-of-tuples display, or an unpacking target
         return "(" + "".join(f"({', '.join(row)},), " for row in cells) + ")"
 
-    source = (f"def product(a, b, mod):\n    {matrix(a)} = a\n    {matrix(b)} = b\n"
-              f"    return {matrix(sums)}\n")
+    if count:
+        v, gens = [f"v{t}" for t in range(n)], [names(f"g{c}_") for c in range(count)]
+        source = (f"def product(gens, mod):\n"
+                  f"    ({''.join(matrix(g) + ', ' for g in gens)}) = gens\n"
+                  f"    def images(v):\n        ({', '.join(v)},) = v\n"
+                  f"        return {matrix(times([v], g)[0] for g in gens)}\n"
+                  f"    return images\n")
+    else:
+        a, b = names("a"), names("b")
+        source = (f"def product(a, b, mod):\n    {matrix(a)} = a\n    {matrix(b)} = b\n"
+                  f"    return {matrix(times(a, b))}\n")
     namespace = {}
-    exec(compile(source, f"<modmat product {n}x{n}>", "exec"), namespace)
+    exec(compile(source, f"<modmat kernel n={n} count={count}>", "exec"), namespace)
     return namespace["product"]
 
 
@@ -83,6 +105,27 @@ def mat_mul(a: Mat, b: Mat, mod: int) -> Mat:
         raise ValueError("mat_mul needs two square operands of one size")
     bt = list(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) % mod for col in bt]) for row in a])
+
+
+def row_images(gens, mod: int):
+    """The map v -> (v g_1, ..., v g_c), each row product reduced mod `mod`,
+    for c >= 1 generators, n x n of one size n >= 1; ValueError on generators,
+    or later rows, of any other shape."""
+    n = len(gens[0]) if gens else 0
+    if 0 < n <= _UNROLLED:
+        try:
+            return _product(n, len(gens))(gens, mod)
+        except ValueError:
+            raise ValueError("row_images needs generators n x n of one size") from None
+    if not n or any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+        raise ValueError("row_images needs generators n x n of one size")
+    cols = [tuple(zip(*g)) for g in gens]
+
+    def images(v):
+        if len(v) != n:
+            raise ValueError("row_images needs rows of the generators' size")
+        return tuple([tuple([sum(map(mul, v, col)) % mod for col in cs]) for cs in cols])
+    return images
 
 
 def mat_pow(a: Mat, e: int, mod: int) -> Mat:

@@ -4,7 +4,10 @@ Everything here is brute force by design: these tables validate the
 coprimality criteria and the root machinery on honest finite quotients.
 A table is the Cayley graph of its generators, searched on tuples of row
 indices once the orbit of the standard rows has given each generator its row
-table; powers are walked by applying an element's word as permutations.
+table; the orbit maps each row by every generator in one call of a
+``modmat.row_images`` kernel, so every product mod p^m here is modmat's.
+Powers are walked by applying an element's word as permutations, and each
+power image is read off the walks once per divisor of the order.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import modmat
 from .errors import CapExceeded
@@ -69,14 +72,13 @@ def _search(points: list, images, count: int, cap: int):
 def _cayley(gens, n: int, mod: int, cap: int):
     """The Cayley graph of gens by right multiplication, searched from 1 to at most
     `cap` elements. First the rows: the orbit of e_1, ..., e_n under v -> v·g gives
-    each generator g its row table (row index -> index of row·g); an element has n
+    each generator g its row table (row index -> index of row·g), one
+    ``modmat.row_images`` call mapping a row by every generator; an element has n
     rows, so more than n·cap rows prove the group past cap. Then the elements, each
     held as the tuple of its row indices: x·g is itemgetter(*x)(table_g). Returns
     (keys, parent, via, perms) as ``_search`` does, the keys as row codes."""
-    cols = [tuple(zip(*gen)) for gen in gens]
     rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    tree = _search(rows, lambda v: [tuple([sum(map(mul, v, c)) % mod for c in cs])
-                                    for cs in cols], len(gens), cap)
+    tree = _search(rows, modmat.row_images(gens, mod), len(gens), cap)
     codes = [_code((row,), mod) for row in rows]
     if n == 1:  # the rows are the elements (and itemgetter(r) returns no tuple)
         return [(c,) for c in codes], *tree
@@ -97,6 +99,7 @@ class FiniteGroupTable:
     Closure under products holds structurally (a search to a fixpoint).
     Closure under inverses is checked by the cyclic walks, which also give
     every power of every element (``_cycles``); they are kept, the graph is not.
+    So are the power images, one per divisor of the order (``power_surjective``).
     """
 
     def __init__(self, ctx: PContext, level: int, n: int, elements, generators):
@@ -130,6 +133,11 @@ class FiniteGroupTable:
     def _index(self) -> dict:
         """key -> position in the table."""
         return {key: i for i, key in enumerate(self._keys)}
+
+    @cached_property
+    def _power_images(self) -> dict:
+        """gcd(k, order) -> the PowerImage of x -> x^k (``power_surjective``)."""
+        return {}
 
     @cached_property
     def _order_factors(self) -> Supernatural:
@@ -195,6 +203,9 @@ def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> Fi
     by ``_cayley``'s search to at most cap >= 1 elements, its keys sorted once. Its
     walks are built from the graph, which is then dropped; they check closure under
     inverses. The order must divide |GL(n, Z/p^m)|."""
+    for name, value in (("level", level), ("cap", cap)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
     if level < 1:
         raise ValueError("level must be >= 1")
     if cap < 1:
@@ -202,8 +213,8 @@ def enumerate_group(gens, ctx: PContext, level: int, cap: int = 1_000_000) -> Fi
     if not gens:
         raise ValueError("need at least one generator")
     p, mod, n = ctx.p, ctx.p ** level, len(gens[0])
-    if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
-        raise ValueError("every generator must be n x n")
+    if not n or any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+        raise ValueError("every generator must be n x n, n >= 1")
     modmat.require_ints(*gens)
     gens = tuple(modmat.reduce_mat(g, mod) for g in gens)
     if not all(modmat.invertible_mod(g, p) for g in gens):
@@ -237,14 +248,19 @@ def power_surjective(table: FiniteGroupTable, k: int) -> PowerImage:
 
     The k-th powers of a cyclic group <y> of order d are <y^gcd(k, d)>, so on
     a walk 1, y, ..., y^(d-1) they are the slice flat[s:e:gcd(k, d)]; the image
-    is the union of those slices (for k = 0, flat[s:e:d], which is {1})."""
+    is the union of those slices (for k = 0, flat[s:e:d], which is {1}). Every
+    d divides |G|, so gcd(k, d) = gcd(g, d) for g = gcd(k, |G|) (for k = 0 both
+    are d): the image is computed once per g and kept on the table."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    _, _, start, flat = table._cycles()
-    image = set()
-    for s, e in zip(start, start[1:]):
-        image.update(flat[s:e:gcd(k, e - s)])
-    return PowerImage(len(image) == table.order, len(image))
+    g = gcd(k, table.order)
+    if g not in table._power_images:
+        _, _, start, flat = table._cycles()
+        image = set()
+        for s, e in zip(start, start[1:]):
+            image.update(flat[s:e:gcd(g, e - s)])
+        table._power_images[g] = PowerImage(len(image) == table.order, len(image))
+    return table._power_images[g]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Laws of the two elimination kernels (linalg.eliminate over Q, on integer
 rows, and modmat.rref_mod over F_p), of what is read off them and of the
-products mod p^m (modmat.mat_mul), checked against independent arithmetic:
-the Fraction Gauss-Jordan reference_rref, Berkowitz char polys, Leibniz
-minors, a triple loop and brute force."""
+products mod p^m (modmat.mat_mul and modmat.row_images), checked against
+independent arithmetic: the Fraction Gauss-Jordan reference_rref, Berkowitz
+char polys, Leibniz minors, a triple loop, row-column sums and brute force."""
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import lcm
+from operator import mul
 
 import pytest
 from conftest import reference_rref
@@ -267,12 +268,12 @@ def test_mat_inv_round_trips_above_level_one(case, level):
 
 @st.composite
 def product_cases(draw):
-    """A modulus p^m and two n x n operands, n on both sides of mat_mul's
-    unroll limit, with unreduced and negative entries."""
+    """A modulus p^m, an n x n operand and one to four more, n on both sides
+    of mat_mul's unroll limit, with unreduced and negative entries."""
     mod = draw(primes) ** draw(st.integers(1, 30))
     n = draw(st.integers(1, 6))
     cell = st.integers(-3 * mod, 3 * mod)
-    return mod, draw(square(n, cell)), draw(square(n, cell))
+    return mod, draw(square(n, cell)), draw(st.lists(square(n, cell), min_size=1, max_size=4))
 
 
 def reference_product(a, b, mod):
@@ -288,8 +289,20 @@ def reference_product(a, b, mod):
 @settings(max_examples=100, deadline=None)
 @given(case=product_cases())
 def test_mat_mul_matches_the_triple_loop(case):
-    mod, a, b = case
+    mod, a, (b, *_) = case
     assert modmat.mat_mul(a, b, mod) == reference_product(a, b, mod)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=product_cases())
+def test_row_images_are_the_row_times_column_sums(case):
+    # the rows of a, each times every generator, as the oracle's row orbit
+    # took them before the kernel
+    mod, a, gens = case
+    images = modmat.row_images(gens, mod)
+    for v in a:
+        assert images(v) == tuple(tuple(sum(map(mul, v, col)) % mod for col in zip(*g))
+                                  for g in gens)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])  # kernels up to 4, the comprehension above
@@ -302,6 +315,11 @@ def test_mat_mul_rejects_operands_that_are_not_square_of_one_size(n):
         for a, b in ((one, bad), (bad, one)):
             with pytest.raises(ValueError):
                 modmat.mat_mul(a, b, 5)
+            with pytest.raises(ValueError):  # and the row kernel's generators
+                modmat.row_images((a, b), 5)
+    for v in ((1,) * (n + 1), (1,) * (n - 1)):
+        with pytest.raises(ValueError):
+            modmat.row_images((one,), 5)(v)
 
 
 @st.composite

@@ -202,6 +202,24 @@ def test_a_non_positive_level_is_rejected():
             enumerate_group([SHEAR], CTX5, level)
 
 
+def test_a_level_that_is_not_an_integer_is_rejected():
+    # 5 ** 1.5 is a float, and pow failed on it with a TypeError
+    with pytest.raises(ValueError, match="level must be an integer"):
+        enumerate_group([SHEAR], CTX5, 1.5)
+
+
+def test_a_cap_that_is_not_an_integer_is_rejected():
+    # it was reported as CapExceeded, an inconclusive answer, not an input error
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        enumerate_group([SHEAR], CTX5, 1, cap=2.5)
+
+
+def test_a_zero_by_zero_generator_is_rejected():
+    # the singularity check failed on it with an IndexError
+    with pytest.raises(ValueError, match="every generator must be n x n, n >= 1"):
+        enumerate_group([()], CTX5, 1)
+
+
 def test_an_empty_generator_list_is_rejected():
     with pytest.raises(ValueError, match="need at least one generator"):
         enumerate_group([], CTX5, 1)
@@ -320,10 +338,11 @@ def test_the_zeroth_power_image_is_the_identity():
 @given(table=small_tables(), data=st.data())
 def test_power_images_read_as_slices_are_the_per_element_steps(table, data):
     """x = y^j on a walk of length d has x^k = y^(jk mod d): the image the
-    walks give element by element is the image read as one slice per walk."""
+    walks give element by element is the image read as one slice per walk,
+    also where it was kept from a k of the same gcd with the order."""
     walk, step, start, flat = table._cycles()
     drawn = data.draw(st.lists(st.integers(0, 3 * table.order), max_size=8))
-    for k in [0, 3 * table.order] + drawn:
+    for k in [0, table.order, 3 * table.order] + drawn + [k + table.order for k in drawn]:
         image = set()
         for w, j in zip(walk, step):
             s, d = start[w], start[w + 1] - start[w]
